@@ -59,7 +59,7 @@ from repro.symbolic.expr import (
     sub as expr_sub,
 )
 
-from repro.synthesis.floatmodel import MODULUS as _MOD7_MODULUS, Mod7, _ELEMENTS
+from repro.synthesis.floatmodel import MODULUS as _MOD7_MODULUS, Mod7, _ELEMENTS, field_encode
 
 _MISS = object()
 
@@ -96,6 +96,9 @@ class _Emitter:
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.env: Dict[str, object] = {}
+        # Operand name -> compile-time value, for every constant bound;
+        # any other operand name is a runtime temporary.
+        self.consts: Dict[str, object] = {}
         self._counter = 0
 
     def temp(self) -> str:
@@ -104,13 +107,13 @@ class _Emitter:
 
     def const(self, value) -> str:
         """Bind a compile-time constant; small literals are inlined."""
-        if type(value) is int or type(value) is bool:
-            return repr(value)
-        if type(value) is str:
-            return repr(value)
-        self._counter += 1
-        name = f"k{self._counter}"
-        self.env[name] = value
+        if type(value) is int or type(value) is bool or type(value) is str:
+            name = repr(value)
+        else:
+            self._counter += 1
+            name = f"k{self._counter}"
+            self.env[name] = value
+        self.consts[name] = value
         return name
 
     def emit(self, line: str, depth: int) -> None:
@@ -152,6 +155,47 @@ def _emit_array_load(
     return out
 
 
+def _field_element(value) -> Optional[int]:
+    """GF(7) encoding of a compile-time number, or None where it has none.
+
+    The field cannot encode a denominator divisible by 7, inf or nan;
+    such a constant gets no fast path, so ``Mod7._coerce`` still raises
+    its error at evaluation time.
+    """
+    if type(value) not in (int, float, Fraction):
+        return None
+    try:
+        return field_encode(value)
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def _field_fast_path(em: _Emitter, op: str, left: str, right: str):
+    """``(test, value)`` of the GF(7) fast path of ``left op right``, or None.
+
+    The synthesis float model's field operations reduce to a
+    singleton-table index (``Mod7.__add__`` and friends do exactly this,
+    one frame deeper).  Only runtime temporaries can hold ``Mod7``
+    values; a constant operand is encoded into the field here, once,
+    instead of by ``Mod7._coerce`` on every evaluation.
+    """
+    left_const = left in em.consts
+    right_const = right in em.consts
+    if not left_const and not right_const:
+        return (
+            f"type({left}) is _Mod7 and type({right}) is _Mod7",
+            f"{left}.value {op} {right}.value",
+        )
+    if left_const and right_const:
+        return None
+    temp, const = (right, left) if left_const else (left, right)
+    element = _field_element(em.consts[const])
+    if element is None:
+        return None
+    operands = (element, f"{temp}.value") if left_const else (f"{temp}.value", element)
+    return f"type({temp}) is _Mod7", f"{operands[0]} {op} {operands[1]}"
+
+
 def _emit_binop(em: _Emitter, op: str, left: str, right: str, depth: int) -> str:
     """Inline the concrete/symbolic dispatch of the ``value_*`` helpers.
 
@@ -161,16 +205,11 @@ def _emit_binop(em: _Emitter, op: str, left: str, right: str, depth: int) -> str
     """
     out = em.temp()
     ctor = {"+": "_x_add", "-": "_x_sub", "*": "_x_mul", "/": "_x_div"}[op]
-    if op in {"+", "-", "*"} and left.startswith("t") and right.startswith("t"):
-        # GF(7) fast path: the synthesis float model's field operations
-        # reduce to a singleton-table index (``Mod7.__add__`` and friends
-        # do exactly this, one frame deeper).  Only runtime temporaries
-        # can hold Mod7 values — compile-time constants never do.
-        em.emit(f"if type({left}) is _Mod7 and type({right}) is _Mod7:", depth)
-        em.emit(
-            f"{out} = _M7[({left}.value {op} {right}.value) % {_MOD7_MODULUS}]",
-            depth + 1,
-        )
+    fast = _field_fast_path(em, op, left, right) if op in {"+", "-", "*"} else None
+    if fast is not None:
+        test, value = fast
+        em.emit(f"if {test}:", depth)
+        em.emit(f"{out} = _M7[({value}) % {_MOD7_MODULUS}]", depth + 1)
         em.emit(f"elif isinstance({left}, Expr):", depth)
     else:
         em.emit(f"if isinstance({left}, Expr):", depth)

@@ -8,22 +8,29 @@ states).  Quantifier enumeration, guard handling, error wrapping and
 the ``value_equal`` comparison are replicated exactly — only the
 per-node tree dispatch is compiled away.
 
-Compiled formulas are memoised structurally (the predicate AST classes
-are frozen dataclasses over hash-consed expressions, so hashing is
-cheap); the tables are cleared deterministically at a size threshold so
-month-long batch runs stay bounded.
+Compiled formulas are memoised at two levels: by object identity, the
+probe paid on every evaluation, and on a miss by shape (see
+:func:`_shape`), because the enumerator builds a fresh formula object
+for every candidate even when it is structurally identical to an earlier
+one.  Each distinct formula is therefore compiled once.  The tables are
+cleared deterministically at a size threshold so month-long batch runs
+stay bounded.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.predicates.evaluate import GUARD_OPS as _GUARD_OPS, PredicateEvalError
 from repro.predicates.language import (
     Bound,
     Invariant,
+    OutEq,
     Postcondition,
     QuantifiedConstraint,
+    ScalarEquality,
+    ScalarInequality,
 )
 from repro.semantics.numeric import EvalError, compare_values
 from repro.semantics.state import (
@@ -32,7 +39,7 @@ from repro.semantics.state import (
     require_int,
     value_equal_interned as value_equal,
 )
-from repro.symbolic.expr import Call, Expr
+from repro.symbolic.expr import Call, Expr, _key_part
 from repro.compile.exprcomp import compile_sym_expr
 from repro.compile.options import CompileOptions
 
@@ -41,24 +48,79 @@ BoundFn = Callable[[State, Mapping[str, Value]], range]
 
 _CACHE_MAX = 1 << 13
 
-# Keyed by (id(formula), options); the stored formula reference keeps the
-# id stable, and the frozen options dataclass hashes by value so a
-# recycled object id can never serve a function compiled under different
-# flags.  Identity keying of the formula makes the per-evaluation probe
-# cheap; cross-candidate sharing still happens at the expression level,
-# where hash-consing makes equal right-hand sides literally identical.
+# First level: (id(formula), options) -> (formula, fn).  The stored
+# formula keeps the id stable, and the frozen options dataclass hashes by
+# value so a recycled object id can never serve a function compiled under
+# different flags.  Second level, probed on an id miss: (shape, options)
+# -> (formula, fn), where the stored formula keeps the child ids inside
+# the shape valid.  Store functions of invariant instantiation are
+# memoised per conjunct, so invariants sharing a conjunct share its code.
 _QUANT_CACHE: Dict[Tuple[int, CompileOptions], Tuple[QuantifiedConstraint, Callable]] = {}
 _INV_CACHE: Dict[Tuple[int, CompileOptions], Tuple[Invariant, StatePredicate]] = {}
 _POST_CACHE: Dict[Tuple[int, CompileOptions], Tuple[Postcondition, StatePredicate]] = {}
 _INST_CACHE: Dict[Tuple[int, CompileOptions], Tuple[Invariant, StatePredicate]] = {}
+_STORE_CACHE: Dict[Tuple[int, CompileOptions], Tuple[QuantifiedConstraint, Callable]] = {}
+_QUANT_SHAPES: Dict[tuple, Tuple[QuantifiedConstraint, Callable]] = {}
+_INV_SHAPES: Dict[tuple, Tuple[Invariant, StatePredicate]] = {}
+_POST_SHAPES: Dict[tuple, Tuple[Postcondition, StatePredicate]] = {}
+_INST_SHAPES: Dict[tuple, Tuple[Invariant, StatePredicate]] = {}
+_STORE_SHAPES: Dict[tuple, Tuple[QuantifiedConstraint, Callable]] = {}
+
+_TABLES = (
+    _QUANT_CACHE, _INV_CACHE, _POST_CACHE, _INST_CACHE, _STORE_CACHE,
+    _QUANT_SHAPES, _INV_SHAPES, _POST_SHAPES, _INST_SHAPES, _STORE_SHAPES,
+)
 
 
 def clear_pred_caches() -> None:
     """Drop memoised compiled predicates (tests / cache hygiene)."""
-    _QUANT_CACHE.clear()
-    _INV_CACHE.clear()
-    _POST_CACHE.clear()
-    _INST_CACHE.clear()
+    for table in _TABLES:
+        table.clear()
+
+
+_FORMULA_FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (
+        Bound, OutEq, QuantifiedConstraint, ScalarInequality, ScalarEquality,
+        Invariant, Postcondition,
+    )
+}
+
+
+def _shape(value):
+    """Structural memo key of a formula (or of one of its fields).
+
+    The rule of ``symbolic.expr._key_part``, one level up: child
+    expressions key by identity and plain fields by value.  Expressions
+    are interned, so identity is structural equality at exactly the
+    granularity compiled code needs.  Dataclass ``==`` is coarser: it
+    equates ``Const(2)`` with ``Const(2.0)`` and ``0.0`` with ``-0.0``,
+    whose compiled functions return different values, so it must never
+    key these tables.
+    """
+    if isinstance(value, Expr):
+        return id(value)
+    if isinstance(value, tuple):
+        return tuple(_shape(v) for v in value)
+    names = _FORMULA_FIELDS.get(type(value))
+    if names is None:
+        return _key_part(value)
+    return (type(value),) + tuple(_shape(getattr(value, name)) for name in names)
+
+
+def _memoise(table, shapes, formula, options: CompileOptions, build):
+    """Slow path of a formula table after an id miss: by shape, else build."""
+    shape = (_shape(formula), options)
+    entry = shapes.get(shape)
+    if entry is None:
+        entry = (formula, build(formula, options))
+        if len(shapes) >= _CACHE_MAX:
+            shapes.clear()
+        shapes[shape] = entry
+    if len(table) >= _CACHE_MAX:
+        table.clear()
+    table[(id(formula), options)] = (formula, entry[1])
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +243,10 @@ def compile_quantified(
     constraint: QuantifiedConstraint, options: CompileOptions
 ) -> Callable[[State, Optional[Mapping[str, Value]]], bool]:
     """Compile ``forall bounds. [guard ->] outEq`` to a state predicate."""
-    key = (id(constraint), options)
-    hit = _QUANT_CACHE.get(key)
+    hit = _QUANT_CACHE.get((id(constraint), options))
     if hit is not None:
         return hit[1]
-    fn = _build_quantified(constraint, options)
-    if len(_QUANT_CACHE) >= _CACHE_MAX:
-        _QUANT_CACHE.clear()
-    _QUANT_CACHE[key] = (constraint, fn)
-    return fn
+    return _memoise(_QUANT_CACHE, _QUANT_SHAPES, constraint, options, _build_quantified)
 
 
 def _compile_index_tuple(indices, options: CompileOptions, context: str):
@@ -295,15 +352,10 @@ def _build_quantified_closures(constraint: QuantifiedConstraint, options: Compil
 
 def compile_postcondition(post: Postcondition, options: CompileOptions) -> StatePredicate:
     """Compiled twin of ``predicates.evaluate.evaluate_postcondition``."""
-    key = (id(post), options)
-    hit = _POST_CACHE.get(key)
+    hit = _POST_CACHE.get((id(post), options))
     if hit is not None:
         return hit[1]
-    fn = _build_postcondition(post, options)
-    if len(_POST_CACHE) >= _CACHE_MAX:
-        _POST_CACHE.clear()
-    _POST_CACHE[key] = (post, fn)
-    return fn
+    return _memoise(_POST_CACHE, _POST_SHAPES, post, options, _build_postcondition)
 
 
 def _build_postcondition(post: Postcondition, options: CompileOptions) -> StatePredicate:
@@ -327,15 +379,10 @@ def _build_postcondition(post: Postcondition, options: CompileOptions) -> StateP
 
 def compile_invariant(invariant: Invariant, options: CompileOptions) -> StatePredicate:
     """Compiled twin of ``predicates.evaluate.evaluate_invariant``."""
-    key = (id(invariant), options)
-    hit = _INV_CACHE.get(key)
+    hit = _INV_CACHE.get((id(invariant), options))
     if hit is not None:
         return hit[1]
-    fn = _build_invariant(invariant, options)
-    if len(_INV_CACHE) >= _CACHE_MAX:
-        _INV_CACHE.clear()
-    _INV_CACHE[key] = (invariant, fn)
-    return fn
+    return _memoise(_INV_CACHE, _INV_SHAPES, invariant, options, _build_invariant)
 
 
 def _compile_inequality(ineq, options: CompileOptions) -> StatePredicate:
@@ -409,15 +456,45 @@ def compile_invariant_instantiator(
     when impossible.  Error handling matches the interpreted method
     (failures are absorbed, not raised).
     """
-    key = (id(invariant), options)
-    hit = _INST_CACHE.get(key)
+    hit = _INST_CACHE.get((id(invariant), options))
     if hit is not None:
         return hit[1]
-    fn = _build_instantiator(invariant, options)
-    if len(_INST_CACHE) >= _CACHE_MAX:
-        _INST_CACHE.clear()
-    _INST_CACHE[key] = (invariant, fn)
-    return fn
+    return _memoise(_INST_CACHE, _INST_SHAPES, invariant, options, _build_instantiator)
+
+
+def _compile_store(conjunct: QuantifiedConstraint, options: CompileOptions) -> Callable:
+    """One conjunct's store loop, shared by every invariant containing it."""
+    hit = _STORE_CACHE.get((id(conjunct), options))
+    if hit is not None:
+        return hit[1]
+    return _memoise(_STORE_CACHE, _STORE_SHAPES, conjunct, options, _build_store)
+
+
+def _build_store(conjunct: QuantifiedConstraint, options: CompileOptions) -> Callable:
+    """Store every assignment's right-hand side; errors propagate raw."""
+    if options.codegen:
+        from repro.compile.codegen import gen_conjunct_store_fn
+        from repro.compile.exprcomp import _fold_hook_sym
+
+        return gen_conjunct_store_fn(conjunct, fold=_fold_hook_sym(options))
+    iterate = _compile_live_iterator(conjunct.bounds, options)
+    index_fn = _compile_index_tuple(conjunct.out_eq.indices, options, "index")
+    rhs_fn = compile_sym_expr(conjunct.out_eq.rhs, options)
+    array = conjunct.out_eq.array
+
+    def store(state):
+        arr = state.arrays.get(array)
+        if arr is None:
+            arr = state.array(array)
+        cells = arr.cells
+        for assignment in iterate(state, _EMPTY_BINDINGS):
+            index = index_fn(state, assignment)
+            value = rhs_fn(state, assignment)
+            # ``index`` is require_int-coerced, so this matches
+            # ``ArrayValue.store`` without the re-coercion.
+            cells[index] = value
+
+    return store
 
 
 def _build_instantiator(invariant: Invariant, options: CompileOptions) -> StatePredicate:
@@ -428,24 +505,7 @@ def _build_instantiator(invariant: Invariant, options: CompileOptions) -> StateP
     equality_fns = tuple(
         (eq.var, compile_sym_expr(eq.rhs, options)) for eq in invariant.equalities
     )
-    store_fns = None
-    conjunct_parts = ()
-    if options.codegen:
-        from repro.compile.codegen import gen_conjunct_store_fn
-        from repro.compile.exprcomp import _fold_hook_sym
-
-        store_fns = tuple(
-            gen_conjunct_store_fn(conjunct, fold=_fold_hook_sym(options))
-            for conjunct in invariant.conjuncts
-        )
-    else:
-        parts = []
-        for conjunct in invariant.conjuncts:
-            iterate = _compile_live_iterator(conjunct.bounds, options)
-            index_fn = _compile_index_tuple(conjunct.out_eq.indices, options, "index")
-            rhs_fn = compile_sym_expr(conjunct.out_eq.rhs, options)
-            parts.append((iterate, index_fn, rhs_fn, conjunct.out_eq.array))
-        conjunct_parts = tuple(parts)
+    store_fns = tuple(_compile_store(conjunct, options) for conjunct in invariant.conjuncts)
 
     def run(state):
         for var_fn, upper_fn, op in ineq_parts:
@@ -461,25 +521,9 @@ def _build_instantiator(invariant: Invariant, options: CompileOptions) -> StateP
                 state.set_scalar(var, rhs_fn(state, _EMPTY_BINDINGS))
             except (EvalError, TypeError):
                 return False
-        if store_fns is not None:
-            for fn in store_fns:
-                try:
-                    fn(state)
-                except (PredicateEvalError, EvalError, TypeError):
-                    return False
-            return True
-        for iterate, index_fn, rhs_fn, array in conjunct_parts:
+        for fn in store_fns:
             try:
-                arr = state.arrays.get(array)
-                if arr is None:
-                    arr = state.array(array)
-                cells = arr.cells
-                for assignment in iterate(state, _EMPTY_BINDINGS):
-                    index = index_fn(state, assignment)
-                    value = rhs_fn(state, assignment)
-                    # ``index`` is require_int-coerced, so this matches
-                    # ``ArrayValue.store`` without the re-coercion.
-                    cells[index] = value
+                fn(state)
             except (PredicateEvalError, EvalError, TypeError):
                 return False
         return True

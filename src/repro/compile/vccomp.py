@@ -5,7 +5,7 @@
 prefix, counter initialisation and premise tests are translated to
 closures once per VC (i.e. once per kernel), while the
 candidate-dependent parts — the postcondition and the invariants — are
-compiled once per candidate through the structurally-memoised
+compiled once per distinct formula through the structurally-memoised
 :mod:`repro.compile.predcomp` tables and then evaluated against many
 states.  Clause semantics (vacuous-truth handling, exception wrapping,
 the work-on-a-copy discipline) are replicated exactly.

@@ -11,6 +11,7 @@ executable body, and end-to-end through ``synthesize_kernel``.
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -23,13 +24,28 @@ from repro.compile import (
     CompileOptions,
     CompiledCollector,
     CompiledVC,
+    clear_compile_caches,
+    compile_invariant,
+    compile_invariant_instantiator,
     compile_ir_expr,
+    compile_postcondition,
+    compile_quantified,
     compile_stmt,
     compile_sym_expr,
 )
+from repro.compile import codegen, predcomp
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
 from repro.ir import nodes as ir
+from repro.predicates.evaluate import evaluate_quantified
+from repro.predicates.language import (
+    Bound,
+    Invariant,
+    OutEq,
+    Postcondition,
+    QuantifiedConstraint,
+    ScalarInequality,
+)
 from repro.semantics.evalexpr import EvalError, eval_ir_expr, eval_sym_expr
 from repro.semantics.exec import execute_statement
 from repro.semantics.numeric import coerce_number, compare_values
@@ -97,12 +113,16 @@ BOUND_NAMES = ("q1", "q2")
 
 
 def _leaves():
+    # Sevenths and non-finite floats have no GF(7) encoding, so the
+    # generated field fast path must leave them to ``Mod7._coerce``.
     consts = st.one_of(
         st.integers(-6, 6).map(lambda n: Const(Fraction(n))),
         st.fractions(min_value=-4, max_value=4, max_denominator=6).map(Const),
         st.floats(-8, 8, allow_nan=False, allow_infinity=False, width=32).map(
             lambda f: Const(float(f))
         ),
+        st.integers(-6, 6).map(lambda n: Const(Fraction(n, 7))),
+        st.sampled_from([math.inf, -math.inf, 1e300]).map(Const),
     )
     syms = st.sampled_from(SYM_NAMES + BOUND_NAMES).map(Sym)
     return st.one_of(consts, syms)
@@ -146,26 +166,29 @@ def _make_state() -> State:
 BINDINGS = {"q1": 1, "q2": -2}
 
 
+# Outcomes compare by ``repr``: ``inf + -inf`` is a nan, which never
+# equals itself, and ``repr`` also tells ``2`` from ``2.0``.
+
 @settings(max_examples=300, deadline=None)
 @given(expr=sym_exprs)
 def test_sym_expr_backends_match_interpreter(expr):
     state = _make_state()
-    reference = outcome(lambda: eval_sym_expr(expr, state, BINDINGS))
+    reference = repr(outcome(lambda: eval_sym_expr(expr, state, BINDINGS)))
     for options in BACKENDS:
         fn = compile_sym_expr(expr, options)
-        assert outcome(lambda: fn(state, BINDINGS)) == reference
+        assert repr(outcome(lambda: fn(state, BINDINGS))) == reference
 
 
 @settings(max_examples=150, deadline=None)
 @given(expr=sym_exprs)
 def test_sym_expr_matches_on_symbolic_state(expr):
     # Fully symbolic arrays/scalars: results are hash-consed Expr trees,
-    # so equality below is structural equality of the built expressions.
+    # compared through their printed form.
     state = State(scalars={"i": 2, "j": 0, "n": sym("n"), "w": sym("w")})
-    reference = outcome(lambda: eval_sym_expr(expr, state, BINDINGS))
+    reference = repr(outcome(lambda: eval_sym_expr(expr, state, BINDINGS)))
     for options in BACKENDS:
         fn = compile_sym_expr(expr, options)
-        assert outcome(lambda: fn(state, BINDINGS)) == reference
+        assert repr(outcome(lambda: fn(state, BINDINGS))) == reference
 
 
 class TestSymEdgeCases:
@@ -186,6 +209,18 @@ class TestSymEdgeCases:
         for options in BACKENDS:
             fn = compile_sym_expr(expr, options)
             assert outcome(lambda: fn(state, {})) == reference
+
+    @pytest.mark.parametrize(
+        "value", [2, Fraction(-3, 2), 0.5, -0.0, 1e300, Fraction(1, 7), math.inf, math.nan]
+    )
+    def test_field_element_with_constant_operand(self, value):
+        state = State(scalars={"w": Mod7(3)})
+        for node in (Add, Sub, Mul):
+            for expr in (node(Const(value), Sym("w")), node(Sym("w"), Const(value))):
+                reference = repr(outcome(lambda: eval_sym_expr(expr, state, {})))
+                for options in BACKENDS:
+                    fn = compile_sym_expr(expr, options)
+                    assert repr(outcome(lambda: fn(state, {}))) == reference
 
     def test_fraction_const_normalises_to_int(self):
         fn = compile_sym_expr(Const(Fraction(4)), CODEGEN)
@@ -337,6 +372,137 @@ class TestSynthesisEquivalence:
             assert compiled_vc.check(state, result.candidate) == vc.check(
                 state, result.candidate
             )
+
+
+# ---------------------------------------------------------------------------
+# Formula memo: object identity first, then shape
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every generated function as ``(tag, source lines, bound constants)``."""
+    real = codegen._Emitter.build
+    seen = []
+
+    def spy(self, signature, tag):
+        env = tuple(sorted((k, type(v).__name__, repr(v)) for k, v in self.env.items()))
+        seen.append((tag, tuple(self.lines), env))
+        return real(self, signature, tag)
+
+    monkeypatch.setattr(codegen._Emitter, "build", spy)
+    clear_compile_caches()
+    return seen
+
+
+def _scaled(weight, array="a"):
+    """``forall 0 <= q1 <= 2. array[q1] = weight * b[q1]``, a fresh object."""
+    q1 = Sym("q1")
+    return QuantifiedConstraint(
+        (Bound("q1", Const(Fraction(0)), Const(Fraction(2))),),
+        OutEq(array, (q1,), Mul(Const(weight), ArrayCell("b", (q1,)))),
+    )
+
+
+def _invariant(*conjuncts):
+    return Invariant("j", (ScalarInequality("j", Sym("n")),), conjuncts)
+
+
+def _memo_state() -> State:
+    state = State(scalars={"j": 1, "n": 3})
+    for name in ("a", "c"):
+        state.arrays[name] = function_array(name, lambda idx: Fraction(2, 3))
+    state.arrays["b"] = constant_array("b", Fraction(1, 3))
+    return state
+
+
+def _interpreted_instantiate(invariant, state):
+    from repro.verification.bounded import BoundedVerifier
+
+    verifier = BoundedVerifier(
+        generate_vc(kernel_from_source(RUNNING_EXAMPLE)), compile_options=INTERPRETED
+    )
+    return verifier._instantiate_invariant(invariant, state)
+
+
+def test_rebuilt_formulas_reuse_compiled_functions(builds):
+    def compile_all():
+        return (
+            compile_quantified(_scaled(Fraction(2)), CODEGEN),
+            compile_postcondition(Postcondition((_scaled(Fraction(2)),)), CODEGEN),
+            compile_invariant(_invariant(_scaled(Fraction(2))), CODEGEN),
+            compile_invariant_instantiator(_invariant(_scaled(Fraction(2))), CODEGEN),
+        )
+
+    first = compile_all()
+    for fn in first:
+        for _ in range(2 * predcomp._CODEGEN_THRESHOLD):  # hot: tiering upgrades
+            fn(_memo_state())
+    built = len(builds)
+    assert built > 0
+    again = compile_all()
+    assert all(left is right for left, right in zip(first, again))
+    for fn in again:
+        fn(_memo_state())
+    assert len(builds) == built
+
+
+@pytest.mark.parametrize(
+    "weights", [(2, 2.0), (0.0, -0.0)], ids=["int-vs-float", "signed-zero"]
+)
+def test_numeric_twins_compile_apart(weights):
+    # Dataclass equality conflates the twins; their compiled code must not.
+    left, right = (_scaled(weight) for weight in weights)
+    assert left == right
+    checks = [compile_quantified(c, CODEGEN) for c in (left, right)]
+    assert checks[0] is not checks[1]
+    stored = []
+    for constraint, check in zip((left, right), checks):
+        reference = outcome(lambda: evaluate_quantified(constraint, _memo_state()))
+        assert outcome(lambda: check(_memo_state())) == reference
+        invariant = _invariant(constraint)
+        compiled, interpreted = _memo_state(), _memo_state()
+        assert compile_invariant_instantiator(invariant, CODEGEN)(compiled)
+        assert _interpreted_instantiate(invariant, interpreted)
+        assert repr(compiled.arrays["a"].cells) == repr(interpreted.arrays["a"].cells)
+        stored.append(repr(compiled.arrays["a"].cells))
+    assert stored[0] != stored[1]
+
+
+def test_invariants_sharing_a_conjunct_share_its_store(builds):
+    def store_builds():
+        return sum(tag == "store" for tag, _, _ in builds)
+
+    first = _invariant(_scaled(Fraction(2)), _scaled(Fraction(3), array="c"))
+    second = _invariant(_scaled(Fraction(2)), _scaled(Fraction(5), array="c"))
+    compile_invariant_instantiator(first, CODEGEN)
+    assert store_builds() == 2
+    compile_invariant_instantiator(second, CODEGEN)
+    assert store_builds() == 3
+    shared = predcomp._compile_store(first.conjuncts[0], CODEGEN)
+    assert predcomp._compile_store(second.conjuncts[0], CODEGEN) is shared
+
+
+def test_cold_lift_compiles_each_formula_once(builds):
+    from repro.pipeline import PipelineOptions, STNGPipeline, report_signature
+
+    case = next(c for c in all_cases() if c.name == "grad0")
+
+    def lift(compile_options):
+        options = PipelineOptions(
+            autotune_budget=20, verifier_environments=1, compile_options=compile_options
+        )
+        reports = STNGPipeline(options).lift_source(
+            case.source,
+            suite=case.suite,
+            stencil_flags={case.procedure_name: case.is_stencil},
+            points=case.points,
+        )
+        return [report_signature(report) for report in reports]
+
+    signatures = lift(CODEGEN)
+    formulas = [build for build in builds if build[0] in {"quant", "store"}]
+    assert formulas and len(set(formulas)) == len(formulas)
+    assert lift(CLOSURES) == signatures
 
 
 # ---------------------------------------------------------------------------

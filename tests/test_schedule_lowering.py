@@ -586,7 +586,10 @@ class TestMeasuredAutotune:
         assert measured is not None
         assert measured.verified
         assert measured.default_seconds > 0 and measured.tuned_seconds > 0
-        assert measured.evaluations == 6
+        # Legality dedup replays a proposal the bandit repeats instead of
+        # measuring it again; which proposals repeat depends on wall-clock
+        # rewards, so only the total of the two is fixed.
+        assert measured.evaluations + measured.pruned_duplicate == 6
         # Measured wall-clock must not leak into deterministic signatures.
         plain = STNGPipeline(
             PipelineOptions(autotune_budget=30, verifier_environments=1)
