@@ -25,7 +25,7 @@ from repro.ir import nodes as ir
 # space, or the verifier change in a way that affects which summary is
 # synthesized for a given kernel: every cached entry is invalidated.
 # "stng-cache-2": the synthesis configuration grew a "compile" section
-# (CompileOptions of the closure-compiled evaluation path), so entries
+# (CompileOptions of the compiled evaluation path), so entries
 # recorded before the compile layer existed must not be replayed.
 # "stng-cache-3": interpreter MOD semantics changed from Python's
 # flooring ``%`` to Fortran truncation-toward-zero (trunc_mod), so

@@ -1,17 +1,18 @@
-"""Closure compilation of the CEGIS inner loop.
+"""Compiled evaluation of the CEGIS inner loop.
 
 This package turns the hot evaluation paths of the pipeline — IR kernel
 execution, symbolic predicate evaluation, and whole verification
-conditions — into native Python closures built once and called many
-times, replacing the per-evaluation tree dispatch of the interpreters
-in :mod:`repro.semantics` and :mod:`repro.predicates`.
+conditions — into generated Python functions (:mod:`repro.compile.codegen`)
+built once and called many times, replacing the per-evaluation tree
+dispatch of the interpreters in :mod:`repro.semantics` and
+:mod:`repro.predicates`.
 
 The compiled evaluators are required to be *bit-identical* to the
 interpreters (same values, same exception types and messages, same
 lazily-drawn random array cells); :class:`CompileOptions(enabled=False)
 <repro.compile.options.CompileOptions>` falls back to the interpreters
 wholesale, and the equivalence test-suite holds the two modes equal on
-random expressions and every suite kernel.
+random expressions and formulas and every suite kernel.
 
 See :doc:`docs/compiled_evaluation.md` for the design notes.
 """
@@ -27,7 +28,6 @@ from repro.compile.stmtcomp import (
     CompiledCollector,
     CompiledRecordingExecutor,
     clear_stmt_cache,
-    compile_kernel_body,
     compile_stmt,
 )
 from repro.compile.predcomp import (
@@ -62,7 +62,6 @@ __all__ = [
     "compile_invariant_instantiator",
     "compile_ir_condition",
     "compile_ir_expr",
-    "compile_kernel_body",
     "compile_postcondition",
     "compile_quantified",
     "compile_stmt",

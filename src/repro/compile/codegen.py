@@ -1,13 +1,11 @@
 """Source-level code generation: one ``compile()``-ed function per tree.
 
-The closure backend (:mod:`repro.compile.exprcomp`) removes the
-per-evaluation tree dispatch but still pays one Python frame per AST
-node.  This module goes one step further: an expression or statement
-tree is flattened into straight-line Python source — one temporary per
-node, the concrete/symbolic dispatch of the ``value_*`` helpers and the
-integer fast path of ``require_int`` inlined — and compiled once into a
-single code object.  Evaluating a ten-node expression then costs one
-frame instead of ten.
+This is the compiled backend of :mod:`repro.compile`.  An expression,
+statement or quantified-constraint tree is flattened into straight-line
+Python source — one temporary per node, the concrete/symbolic dispatch
+of the ``value_*`` helpers and the integer fast path of ``require_int``
+inlined — and compiled once into a single code object.  Evaluating a
+ten-node expression then costs one frame instead of ten.
 
 Fidelity rules (checked by the equivalence test-suite):
 
@@ -18,16 +16,20 @@ Fidelity rules (checked by the equivalence test-suite):
   (``require_int``, ``value_add``, ``_apply_func``, ``compare_values``)
   so coercions, exception types and messages stay bit-identical;
 * symbolic operands reach the same ``value_*`` entry points, producing
-  the same hash-consed expression nodes.
+  the same hash-consed expression nodes;
+* closed subtrees are folded to constants at generation time through
+  the interpreter itself; anything that would raise (division by a
+  literal zero, unknown functions) is left unfolded so the error still
+  surfaces at evaluation time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.ir import nodes as ir
-from repro.semantics.evalexpr import _apply_func
+from repro.semantics.evalexpr import _apply_func, eval_ir_expr, eval_sym_expr
 from repro.semantics.exec import ExecutionError
 from repro.semantics.numeric import EvalError, compare_values
 from repro.predicates.evaluate import GUARD_OPS as _GUARD_OPS, PredicateEvalError
@@ -253,10 +255,44 @@ def _scalar_missing_message(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Constant folding
+# ---------------------------------------------------------------------------
+
+_IR_FOLDABLE = (ir.IntConst, ir.RealConst, ir.BinOp, ir.UnaryOp, ir.FuncCall)
+_SYM_FOLDABLE = (Const, Add, Sub, Mul, Div, Neg, Call)
+
+
+def _try_fold_ir(expr: ir.ValueExpr):
+    """Fold a closed IR subtree through the interpreter itself.
+
+    Returns ``(True, value)`` or ``(False, None)``; anything that
+    raises stays un-folded so the error is reproduced at run time.
+    """
+    for node in expr.walk():
+        if not isinstance(node, _IR_FOLDABLE):
+            return False, None
+    try:
+        return True, eval_ir_expr(expr, State())
+    except Exception:
+        return False, None
+
+
+def _try_fold_sym(expr: Expr):
+    """The :func:`_try_fold_ir` of predicate expressions."""
+    for node in expr.walk():
+        if not isinstance(node, _SYM_FOLDABLE):
+            return False, None
+    try:
+        return True, eval_sym_expr(expr, State(), {})
+    except Exception:
+        return False, None
+
+
+# ---------------------------------------------------------------------------
 # Symbolic predicate expressions
 # ---------------------------------------------------------------------------
 
-def _emit_sym_expr(em: _Emitter, expr: Expr, depth: int, fold, scope=None) -> str:
+def _emit_sym_expr(em: _Emitter, expr: Expr, depth: int, scope=None) -> str:
     """Emit evaluation code for a predicate expression.
 
     ``scope`` maps quantified variable names to the Python loop
@@ -264,14 +300,8 @@ def _emit_sym_expr(em: _Emitter, expr: Expr, depth: int, fold, scope=None) -> st
     there resolve statically (quantified variables shadow the caller's
     bindings, exactly like the interpreter's merged-dict lookup).
     """
-    if fold is not None:
-        folded, value = fold(expr)
-        if folded:
-            return em.const(value)
-    if isinstance(expr, Const):
-        value = expr.value
-        if isinstance(value, Fraction) and value.denominator == 1:
-            value = int(value)
+    folded, value = _try_fold_sym(expr)
+    if folded:
         return em.const(value)
     if isinstance(expr, Sym):
         if scope is not None and expr.name in scope:
@@ -291,7 +321,7 @@ def _emit_sym_expr(em: _Emitter, expr: Expr, depth: int, fold, scope=None) -> st
         context = em.const(f"index of {expr.array}")
         index_vars = []
         for index in expr.indices:
-            var = _emit_sym_expr(em, index, depth, fold, scope)
+            var = _emit_sym_expr(em, index, depth, scope)
             coerced = em.temp()
             em.emit(f"{coerced} = {var}", depth)
             _emit_require_int(em, coerced, context, depth)
@@ -299,16 +329,16 @@ def _emit_sym_expr(em: _Emitter, expr: Expr, depth: int, fold, scope=None) -> st
         return _emit_array_load(em, expr.array, index_vars, depth)
     if isinstance(expr, (Add, Sub, Mul, Div)):
         op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(expr)]
-        left = _emit_sym_expr(em, expr.left, depth, fold, scope)
-        right = _emit_sym_expr(em, expr.right, depth, fold, scope)
+        left = _emit_sym_expr(em, expr.left, depth, scope)
+        right = _emit_sym_expr(em, expr.right, depth, scope)
         return _emit_binop(em, op, left, right, depth)
     if isinstance(expr, Neg):
-        operand = _emit_sym_expr(em, expr.operand, depth, fold, scope)
+        operand = _emit_sym_expr(em, expr.operand, depth, scope)
         out = em.temp()
         em.emit(f"{out} = -{operand}", depth)
         return out
     if isinstance(expr, Call):
-        args = [_emit_sym_expr(em, a, depth, fold, scope) for a in expr.args]
+        args = [_emit_sym_expr(em, a, depth, scope) for a in expr.args]
         out = em.temp()
         func = em.const(expr.func)
         em.emit(f"{out} = _apply_func({func}, [{', '.join(args)}])", depth)
@@ -320,10 +350,10 @@ def _emit_sym_expr(em: _Emitter, expr: Expr, depth: int, fold, scope=None) -> st
     return out
 
 
-def gen_sym_fn(expr: Expr, fold=None) -> Callable:
+def gen_sym_fn(expr: Expr) -> Callable:
     """Compile a predicate expression into one ``(state, bindings)`` function."""
     em = _Emitter()
-    result = _emit_sym_expr(em, expr, 1, fold)
+    result = _emit_sym_expr(em, expr, 1)
     em.emit(f"return {result}", 1)
     return em.build("state, bindings", "sym")
 
@@ -332,7 +362,7 @@ def gen_sym_fn(expr: Expr, fold=None) -> Callable:
 # Quantified constraints as single code objects
 # ---------------------------------------------------------------------------
 
-def _emit_quantifier_nest(em: _Emitter, bounds, depth: int, fold, scope) -> int:
+def _emit_quantifier_nest(em: _Emitter, bounds, depth: int, scope) -> int:
     """Emit the nested ``for`` loops of a quantifier prefix.
 
     Each level evaluates its bounds with earlier quantified variables
@@ -343,11 +373,11 @@ def _emit_quantifier_nest(em: _Emitter, bounds, depth: int, fold, scope) -> int:
     """
     for bound in bounds:
         em.emit("try:", depth)
-        lower = _emit_sym_expr(em, bound.lower, depth + 1, fold, scope)
+        lower = _emit_sym_expr(em, bound.lower, depth + 1, scope)
         low = em.temp()
         em.emit(f"{low} = {lower}", depth + 1)
         _emit_require_int(em, low, em.const("quantifier lower bound"), depth + 1)
-        upper = _emit_sym_expr(em, bound.upper, depth + 1, fold, scope)
+        upper = _emit_sym_expr(em, bound.upper, depth + 1, scope)
         high = em.temp()
         em.emit(f"{high} = {upper}", depth + 1)
         _emit_require_int(em, high, em.const("quantifier upper bound"), depth + 1)
@@ -362,7 +392,7 @@ def _emit_quantifier_nest(em: _Emitter, bounds, depth: int, fold, scope) -> int:
     return depth
 
 
-def gen_quantified_fn(constraint, fold=None) -> Callable:
+def gen_quantified_fn(constraint) -> Callable:
     """Compile ``forall bounds. [guard ->] outEq`` into one function.
 
     The whole check — bound evaluation, guard, index arithmetic,
@@ -375,13 +405,13 @@ def gen_quantified_fn(constraint, fold=None) -> Callable:
     em.emit("if not bindings:", 1)
     em.emit("bindings = {}", 2)
     scope: Dict[str, str] = {}
-    depth = _emit_quantifier_nest(em, constraint.bounds, 1, fold, scope)
+    depth = _emit_quantifier_nest(em, constraint.bounds, 1, scope)
 
     guard = constraint.guard
     if guard is not None:
         if isinstance(guard, Call) and guard.func in _GUARD_OPS and len(guard.args) == 2:
-            left = _emit_sym_expr(em, guard.args[0], depth, fold, scope)
-            right = _emit_sym_expr(em, guard.args[1], depth, fold, scope)
+            left = _emit_sym_expr(em, guard.args[0], depth, scope)
+            right = _emit_sym_expr(em, guard.args[1], depth, scope)
             taken = em.temp()
             em.emit("try:", depth)
             op = em.const(_GUARD_OPS[guard.func])
@@ -403,14 +433,14 @@ def gen_quantified_fn(constraint, fold=None) -> Callable:
     context = em.const(f"index of {out_eq.array}")
     index_vars = []
     for index in out_eq.indices:
-        var = _emit_sym_expr(em, index, depth + 1, fold, scope)
+        var = _emit_sym_expr(em, index, depth + 1, scope)
         coerced = em.temp()
         em.emit(f"{coerced} = {var}", depth + 1)
         _emit_require_int(em, coerced, context, depth + 1)
         index_vars.append(coerced)
     loaded = _emit_array_load(em, out_eq.array, index_vars, depth + 1)
     em.emit(f"{actual} = {loaded}", depth + 1)
-    rhs = _emit_sym_expr(em, out_eq.rhs, depth + 1, fold, scope)
+    rhs = _emit_sym_expr(em, out_eq.rhs, depth + 1, scope)
     em.emit(f"{expected} = {rhs}", depth + 1)
     em.emit("except (EvalError, TypeError) as exc:", depth)
     em.emit("raise PredicateEvalError(str(exc)) from exc", depth + 1)
@@ -423,7 +453,7 @@ def gen_quantified_fn(constraint, fold=None) -> Callable:
     return em.build("state, bindings=None", "quant")
 
 
-def gen_conjunct_store_fn(conjunct, fold=None) -> Callable:
+def gen_conjunct_store_fn(conjunct) -> Callable:
     """Compile one invariant conjunct into a single storing function.
 
     The compiled twin of the conjunct loop in
@@ -436,17 +466,17 @@ def gen_conjunct_store_fn(conjunct, fold=None) -> Callable:
     em.emit("if not bindings:", 1)
     em.emit("bindings = {}", 2)
     scope: Dict[str, str] = {}
-    depth = _emit_quantifier_nest(em, conjunct.bounds, 1, fold, scope)
+    depth = _emit_quantifier_nest(em, conjunct.bounds, 1, scope)
     out_eq = conjunct.out_eq
     context = em.const("index")
     index_vars = []
     for index in out_eq.indices:
-        var = _emit_sym_expr(em, index, depth, fold, scope)
+        var = _emit_sym_expr(em, index, depth, scope)
         coerced = em.temp()
         em.emit(f"{coerced} = {var}", depth)
         _emit_require_int(em, coerced, context, depth)
         index_vars.append(coerced)
-    value = _emit_sym_expr(em, out_eq.rhs, depth, fold, scope)
+    value = _emit_sym_expr(em, out_eq.rhs, depth, scope)
     name = em.const(out_eq.array)
     arr = em.temp()
     em.emit(f"{arr} = state.arrays.get({name})", depth)
@@ -460,13 +490,10 @@ def gen_conjunct_store_fn(conjunct, fold=None) -> Callable:
 # IR expressions
 # ---------------------------------------------------------------------------
 
-def _emit_ir_expr(em: _Emitter, expr: ir.ValueExpr, depth: int, fold) -> str:
-    if fold is not None:
-        folded, value = fold(expr)
-        if folded:
-            return em.const(value)
-    if isinstance(expr, (ir.IntConst, ir.RealConst)):
-        return em.const(expr.value)
+def _emit_ir_expr(em: _Emitter, expr: ir.ValueExpr, depth: int) -> str:
+    folded, value = _try_fold_ir(expr)
+    if folded:
+        return em.const(value)
     if isinstance(expr, ir.VarRef):
         out = em.temp()
         name = em.const(expr.name)
@@ -481,7 +508,7 @@ def _emit_ir_expr(em: _Emitter, expr: ir.ValueExpr, depth: int, fold) -> str:
         context = em.const(f"index of {expr.array}")
         index_vars = []
         for index in expr.indices:
-            var = _emit_ir_expr(em, index, depth, fold)
+            var = _emit_ir_expr(em, index, depth)
             coerced = em.temp()
             em.emit(f"{coerced} = {var}", depth)
             _emit_require_int(em, coerced, context, depth)
@@ -489,31 +516,31 @@ def _emit_ir_expr(em: _Emitter, expr: ir.ValueExpr, depth: int, fold) -> str:
         return _emit_array_load(em, expr.array, index_vars, depth)
     if isinstance(expr, ir.BinOp):
         if expr.op not in {"+", "-", "*", "/"}:
-            left = _emit_ir_expr(em, expr.left, depth, fold)
-            right = _emit_ir_expr(em, expr.right, depth, fold)
+            left = _emit_ir_expr(em, expr.left, depth)
+            right = _emit_ir_expr(em, expr.right, depth)
             out = em.temp()
             message = em.const(f"unknown binary operator {expr.op!r}")
             em.emit(f"raise EvalError({message})", depth)
             em.emit(f"{out} = None", depth)
             return out
-        left = _emit_ir_expr(em, expr.left, depth, fold)
-        right = _emit_ir_expr(em, expr.right, depth, fold)
+        left = _emit_ir_expr(em, expr.left, depth)
+        right = _emit_ir_expr(em, expr.right, depth)
         return _emit_binop(em, expr.op, left, right, depth)
     if isinstance(expr, ir.UnaryOp):
-        operand = _emit_ir_expr(em, expr.operand, depth, fold)
+        operand = _emit_ir_expr(em, expr.operand, depth)
         if expr.op != "-":
             return operand
         out = em.temp()
         em.emit(f"{out} = -{operand}", depth)
         return out
     if isinstance(expr, ir.FuncCall):
-        args = [_emit_ir_expr(em, a, depth, fold) for a in expr.args]
+        args = [_emit_ir_expr(em, a, depth) for a in expr.args]
         out = em.temp()
         func = em.const(expr.func)
         em.emit(f"{out} = _apply_func({func}, [{', '.join(args)}])", depth)
         return out
     if isinstance(expr, ir.Compare):
-        return _emit_ir_condition(em, expr, depth, fold)
+        return _emit_ir_condition(em, expr, depth)
     out = em.temp()
     message = em.const(f"cannot evaluate IR expression {expr!r}")
     em.emit(f"raise EvalError({message})", depth)
@@ -521,12 +548,12 @@ def _emit_ir_expr(em: _Emitter, expr: ir.ValueExpr, depth: int, fold) -> str:
     return out
 
 
-def _emit_ir_condition(em: _Emitter, expr: ir.ValueExpr, depth: int, fold) -> str:
+def _emit_ir_condition(em: _Emitter, expr: ir.ValueExpr, depth: int) -> str:
     if isinstance(expr, ir.Compare):
-        left = _emit_ir_expr(em, expr.left, depth, fold)
-        right = _emit_ir_expr(em, expr.right, depth, fold)
+        left = _emit_ir_expr(em, expr.left, depth)
+        right = _emit_ir_expr(em, expr.right, depth)
         return _emit_compare(em, expr.op, left, right, depth)
-    value = _emit_ir_expr(em, expr, depth, fold)
+    value = _emit_ir_expr(em, expr, depth)
     out = em.temp()
     em.emit(f"if isinstance({value}, Expr):", depth)
     em.emit(
@@ -537,18 +564,18 @@ def _emit_ir_condition(em: _Emitter, expr: ir.ValueExpr, depth: int, fold) -> st
     return out
 
 
-def gen_ir_fn(expr: ir.ValueExpr, fold=None) -> Callable:
+def gen_ir_fn(expr: ir.ValueExpr) -> Callable:
     """Compile an IR value expression into one ``(state,)`` function."""
     em = _Emitter()
-    result = _emit_ir_expr(em, expr, 1, fold)
+    result = _emit_ir_expr(em, expr, 1)
     em.emit(f"return {result}", 1)
     return em.build("state", "ir")
 
 
-def gen_ir_condition_fn(expr: ir.ValueExpr, fold=None) -> Callable:
+def gen_ir_condition_fn(expr: ir.ValueExpr) -> Callable:
     """Compile an IR condition into one ``(state,)`` boolean function."""
     em = _Emitter()
-    result = _emit_ir_condition(em, expr, 1, fold)
+    result = _emit_ir_condition(em, expr, 1)
     em.emit(f"return {result}", 1)
     return em.build("state", "cond")
 
@@ -560,32 +587,32 @@ def gen_ir_condition_fn(expr: ir.ValueExpr, fold=None) -> Callable:
 from repro.semantics.exec import MAX_ITERATIONS as _MAX_ITERATIONS
 
 
-def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, fold, snapshot: bool) -> None:
+def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, snapshot: bool) -> None:
     if isinstance(stmt, ir.Block):
         for inner in stmt.statements:
-            _emit_stmt(em, inner, depth, fold, snapshot)
+            _emit_stmt(em, inner, depth, snapshot)
         return
     if snapshot and not isinstance(stmt, ir.Loop):
         # The collector only treats blocks and loops specially; any other
         # statement runs through plain execution semantics (conditionals
         # containing loops regain the iteration budget, exactly as the
         # interpreted collector delegates to ``execute_statement``).
-        _emit_stmt(em, stmt, depth, fold, snapshot=False)
+        _emit_stmt(em, stmt, depth, snapshot=False)
         return
     if isinstance(stmt, ir.Assign):
-        value = _emit_ir_expr(em, stmt.value, depth, fold)
+        value = _emit_ir_expr(em, stmt.value, depth)
         em.emit(f"state.scalars[{em.const(stmt.target)}] = {value}", depth)
         return
     if isinstance(stmt, ir.ArrayStore):
         context = em.const(f"store index of {stmt.array}")
         index_vars = []
         for index in stmt.indices:
-            var = _emit_ir_expr(em, index, depth, fold)
+            var = _emit_ir_expr(em, index, depth)
             coerced = em.temp()
             em.emit(f"{coerced} = {var}", depth)
             _emit_require_int(em, coerced, context, depth)
             index_vars.append(coerced)
-        value = _emit_ir_expr(em, stmt.value, depth, fold)
+        value = _emit_ir_expr(em, stmt.value, depth)
         name = em.const(stmt.array)
         arr = em.temp()
         em.emit(f"{arr} = state.arrays.get({name})", depth)
@@ -599,10 +626,10 @@ def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, fold, snapshot: bool) ->
             em.emit(f"raise ExecutionError({message})", depth)
             return
         counter = em.const(stmt.counter)
-        lower = _emit_ir_expr(em, stmt.lower, depth, fold)
+        lower = _emit_ir_expr(em, stmt.lower, depth)
         value = em.temp()
         em.emit(f"{value} = {lower}", depth)
-        upper = _emit_ir_expr(em, stmt.upper, depth, fold)
+        upper = _emit_ir_expr(em, stmt.upper, depth)
         bound = em.temp()
         em.emit(f"{bound} = {upper}", depth)
         if snapshot:
@@ -620,7 +647,7 @@ def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, fold, snapshot: bool) ->
         em.emit(f"state.scalars[{counter}] = {value}", depth + 1)
         if snapshot:
             em.emit("snapshot(state)", depth + 1)
-        _emit_stmt(em, stmt.body, depth + 1, fold, snapshot)
+        _emit_stmt(em, stmt.body, depth + 1, snapshot)
         em.emit(f"{value} += {stmt.step}", depth + 1)
         if not snapshot:
             em.emit(f"{iterations} += 1", depth + 1)
@@ -636,7 +663,7 @@ def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, fold, snapshot: bool) ->
     if isinstance(stmt, ir.If):
         cond = em.temp()
         em.emit("try:", depth)
-        inner = _emit_ir_condition(em, stmt.condition, depth + 1, fold)
+        inner = _emit_ir_condition(em, stmt.condition, depth + 1)
         em.emit(f"{cond} = {inner}", depth + 1)
         em.emit("except EvalError as exc:", depth)
         em.emit(
@@ -644,23 +671,23 @@ def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, fold, snapshot: bool) ->
             depth + 1,
         )
         em.emit(f"if {cond}:", depth)
-        _emit_stmt(em, stmt.then_body, depth + 1, fold, snapshot)
+        _emit_stmt(em, stmt.then_body, depth + 1, snapshot)
         if stmt.else_body is not None:
             em.emit("else:", depth)
-            _emit_stmt(em, stmt.else_body, depth + 1, fold, snapshot)
+            _emit_stmt(em, stmt.else_body, depth + 1, snapshot)
         return
     em.emit(f"raise ExecutionError({em.const(f'cannot execute statement {stmt!r}')})", depth)
 
 
-def gen_stmt_fn(stmt: ir.Stmt, fold=None) -> Callable:
+def gen_stmt_fn(stmt: ir.Stmt) -> Callable:
     """Compile a statement tree into one ``(state,)`` in-place executor."""
     em = _Emitter()
-    _emit_stmt(em, stmt, 1, fold, snapshot=False)
+    _emit_stmt(em, stmt, 1, snapshot=False)
     return em.build("state", "stmt")
 
 
-def gen_collector_fn(stmt: ir.Stmt, fold=None) -> Callable:
+def gen_collector_fn(stmt: ir.Stmt) -> Callable:
     """Compile a kernel body into a ``(state, snapshot)`` collector executor."""
     em = _Emitter()
-    _emit_stmt(em, stmt, 1, fold, snapshot=True)
+    _emit_stmt(em, stmt, 1, snapshot=True)
     return em.build("state, snapshot", "collect")

@@ -1,17 +1,18 @@
-"""Closure compilation of IR statements and whole kernels.
+"""Compiled IR statements, kernel bodies and the two recording executors.
 
-``compile_stmt`` translates a statement tree once into closures that
-mirror :func:`repro.semantics.exec.execute_statement` exactly: the same
+``compile_stmt`` translates a statement tree once into one generated
+function (:func:`repro.compile.codegen.gen_stmt_fn`) that mirrors
+:func:`repro.semantics.exec.execute_statement` exactly: the same
 evaluation order (store indices before the stored value), the same
 Fortran post-loop counter semantics, the same iteration budget and the
-same exception types and messages.  Loop bounds and body are translated
-once at compile time — the per-iteration cost is the closure call, not
-a re-dispatch over the tree.
+same exception types and messages.
 
 ``CompiledCollector`` is the compiled twin of the bounded verifier's
 reachable-state collector: it executes a kernel concretely while
 snapshotting the state at every cut point (top of each loop iteration,
 loop exit, kernel entry/exit), in exactly the interpreter's order.
+``CompiledRecordingExecutor`` is the compiled twin of the concrete-symbolic
+executor behind template generation.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir import nodes as ir
-from repro.semantics.exec import ExecutionError, MAX_ITERATIONS as _MAX_ITERATIONS
-from repro.semantics.numeric import EvalError
 from repro.semantics.state import State, require_int
-from repro.compile.exprcomp import compile_ir_condition, compile_ir_expr
-from repro.compile.options import CompileOptions
+from repro.compile.exprcomp import compile_ir_expr, memoise_by_id
 
 StmtFn = Callable[[State], None]
 
-_STMT_CACHE: Dict[Tuple[int, CompileOptions], Tuple[ir.Stmt, StmtFn]] = {}
+_STMT_CACHE: Dict[int, Tuple[ir.Stmt, StmtFn]] = {}
 _CACHE_MAX = 1 << 14
 
 
@@ -36,120 +34,11 @@ def clear_stmt_cache() -> None:
     _STMT_CACHE.clear()
 
 
-def compile_stmt(stmt: ir.Stmt, options: CompileOptions) -> StmtFn:
+def compile_stmt(stmt: ir.Stmt) -> StmtFn:
     """Compile one IR statement to a ``state -> None`` function."""
-    key = (id(stmt), options)
-    hit = _STMT_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    if options.codegen:
-        from repro.compile.codegen import gen_stmt_fn
-        from repro.compile.exprcomp import _fold_hook_ir
+    from repro.compile.codegen import gen_stmt_fn
 
-        fn = gen_stmt_fn(stmt, fold=_fold_hook_ir(options))
-    else:
-        fn = _compile_stmt(stmt, options)
-    if len(_STMT_CACHE) >= _CACHE_MAX:
-        _STMT_CACHE.clear()
-    _STMT_CACHE[key] = (stmt, fn)
-    return fn
-
-
-def _compile_stmt(stmt: ir.Stmt, options: CompileOptions) -> StmtFn:
-    if isinstance(stmt, ir.Block):
-        body = tuple(_compile_stmt(inner, options) for inner in stmt.statements)
-
-        def run_block(state, _body=body):
-            for fn in _body:
-                fn(state)
-
-        return run_block
-    if isinstance(stmt, ir.Assign):
-        target = stmt.target
-        value_fn = compile_ir_expr(stmt.value, options)
-
-        def run_assign(state, _target=target, _value=value_fn):
-            state.scalars[_target] = _value(state)
-
-        return run_assign
-    if isinstance(stmt, ir.ArrayStore):
-        array = stmt.array
-        context = f"store index of {array}"
-        index_fns = tuple(compile_ir_expr(i, options) for i in stmt.indices)
-        value_fn = compile_ir_expr(stmt.value, options)
-
-        def run_store(state, _fns=index_fns, _value=value_fn, _array=array, _ctx=context):
-            index = tuple(require_int(fn(state), context=_ctx) for fn in _fns)
-            state.array(_array).store(index, _value(state))
-
-        return run_store
-    if isinstance(stmt, ir.Loop):
-        counter = stmt.counter
-        step = stmt.step
-        descending = step < 0
-        lower_fn = compile_ir_expr(stmt.lower, options)
-        upper_fn = compile_ir_expr(stmt.upper, options)
-        body_fn = _compile_stmt(stmt.body, options)
-        overflow = f"loop over {counter!r} exceeded {_MAX_ITERATIONS} iterations"
-        if step == 0:
-            def run_zero_step(state):
-                raise ExecutionError("loop step must be non-zero")
-
-            return run_zero_step
-
-        def run_loop(
-            state,
-            _counter=counter,
-            _step=step,
-            _descending=descending,
-            _lower=lower_fn,
-            _upper=upper_fn,
-            _body=body_fn,
-            _overflow=overflow,
-        ):
-            scalars = state.scalars
-            value = require_int(_lower(state), context="loop lower bound")
-            upper = require_int(_upper(state), context="loop upper bound")
-            iterations = 0
-            while value >= upper if _descending else value <= upper:
-                scalars[_counter] = value
-                _body(state)
-                value += _step
-                iterations += 1
-                if iterations > _MAX_ITERATIONS:
-                    raise ExecutionError(_overflow)
-            # Fortran semantics: after the loop the counter holds the first
-            # value that failed the test.
-            scalars[_counter] = value
-
-        return run_loop
-    if isinstance(stmt, ir.If):
-        cond_fn = compile_ir_condition(stmt.condition, options)
-        then_fn = _compile_stmt(stmt.then_body, options)
-        else_fn = _compile_stmt(stmt.else_body, options) if stmt.else_body is not None else None
-
-        def run_if(state, _cond=cond_fn, _then=then_fn, _else=else_fn):
-            try:
-                taken = _cond(state)
-            except EvalError as exc:
-                raise ExecutionError(f"cannot execute conditional: {exc}") from exc
-            if taken:
-                _then(state)
-            elif _else is not None:
-                _else(state)
-
-        return run_if
-    message = f"cannot execute statement {stmt!r}"
-
-    def run_unknown(state, _msg=message):
-        raise ExecutionError(_msg)
-
-    return run_unknown
-
-
-def compile_kernel_body(kernel: ir.Kernel, options: CompileOptions) -> StmtFn:
-    """Compile a kernel body to an in-place state transformer."""
-    return compile_stmt(kernel.body, options)
+    return memoise_by_id(_STMT_CACHE, stmt, gen_stmt_fn, _CACHE_MAX)
 
 
 class CompiledRecordingExecutor:
@@ -161,7 +50,7 @@ class CompiledRecordingExecutor:
     iteration budget and exception behaviour.
     """
 
-    def __init__(self, kernel: ir.Kernel, options: CompileOptions, max_iterations=None):
+    def __init__(self, kernel: ir.Kernel, max_iterations=None):
         from repro.ir.analysis import collect_loops, loop_counters
         from repro.symbolic.interpreter import SYMBOLIC_EXECUTION_BUDGET
 
@@ -178,7 +67,7 @@ class CompiledRecordingExecutor:
             counts[loop.counter] = count + 1
             loop_ids[id(loop)] = loop.counter if count == 0 else f"{loop.counter}#{count}"
         self._loop_ids = loop_ids
-        self._run = self._compile(kernel.body, options)
+        self._run = self._compile(kernel.body)
 
     def run(self, state: State, record) -> State:
         """Execute the body; ``record(loop_id, state)`` fires per iteration."""
@@ -186,11 +75,11 @@ class CompiledRecordingExecutor:
         self._run(state, record, budget)
         return state
 
-    def _compile(self, stmt: ir.Stmt, options: CompileOptions):
+    def _compile(self, stmt: ir.Stmt):
         from repro.symbolic.interpreter import SymbolicExecutionError
 
         if isinstance(stmt, ir.Block):
-            body = tuple(self._compile(inner, options) for inner in stmt.statements)
+            body = tuple(self._compile(inner) for inner in stmt.statements)
 
             def run_block(state, record, budget, _body=body):
                 for fn in _body:
@@ -207,9 +96,9 @@ class CompiledRecordingExecutor:
 
                 return run_zero_step
             loop_id = self._loop_ids[id(stmt)]
-            lower_fn = compile_ir_expr(stmt.lower, options)
-            upper_fn = compile_ir_expr(stmt.upper, options)
-            body_fn = self._compile(stmt.body, options)
+            lower_fn = compile_ir_expr(stmt.lower)
+            upper_fn = compile_ir_expr(stmt.upper)
+            body_fn = self._compile(stmt.body)
             limit = self.max_iterations
 
             def run_loop(
@@ -249,7 +138,7 @@ class CompiledRecordingExecutor:
 
             return run_if
         if isinstance(stmt, (ir.Assign, ir.ArrayStore)):
-            plain = compile_stmt(stmt, options)
+            plain = compile_stmt(stmt)
 
             def run_plain(state, record, budget, _plain=plain):
                 _plain(state)
@@ -270,15 +159,11 @@ class CompiledCollector:
     ``require_int`` coercions on loop bounds, and no iteration budget.
     """
 
-    def __init__(self, kernel: ir.Kernel, options: CompileOptions):
-        self.kernel = kernel
-        if options.codegen:
-            from repro.compile.codegen import gen_collector_fn
-            from repro.compile.exprcomp import _fold_hook_ir
+    def __init__(self, kernel: ir.Kernel):
+        from repro.compile.codegen import gen_collector_fn
 
-            self._run = gen_collector_fn(kernel.body, fold=_fold_hook_ir(options))
-        else:
-            self._run = self._compile_collect(kernel.body, options)
+        self.kernel = kernel
+        self._run = gen_collector_fn(kernel.body)
 
     def collect(self, state: State, limit: Optional[int] = None) -> List[State]:
         from repro.verification.bounded import REACHABLE_STATE_LIMIT
@@ -295,53 +180,3 @@ class CompiledCollector:
         self._run(state, snapshot)
         snapshot(state)
         return states
-
-    def _compile_collect(self, stmt: ir.Stmt, options: CompileOptions):
-        if isinstance(stmt, ir.Block):
-            body = tuple(self._compile_collect(inner, options) for inner in stmt.statements)
-
-            def run_block(state, snapshot, _body=body):
-                for fn in _body:
-                    fn(state, snapshot)
-
-            return run_block
-        if isinstance(stmt, ir.Loop):
-            counter = stmt.counter
-            step = stmt.step
-            descending = step < 0
-            if step == 0:
-                def run_zero_step(state, snapshot):
-                    raise ExecutionError("loop step must be non-zero")
-
-                return run_zero_step
-            lower_fn = compile_ir_expr(stmt.lower, options)
-            upper_fn = compile_ir_expr(stmt.upper, options)
-            body_fn = self._compile_collect(stmt.body, options)
-
-            def run_loop(
-                state,
-                snapshot,
-                _counter=counter,
-                _step=step,
-                _descending=descending,
-                _lower=lower_fn,
-                _upper=upper_fn,
-                _body=body_fn,
-            ):
-                value = require_int(_lower(state))
-                upper = require_int(_upper(state))
-                while value >= upper if _descending else value <= upper:
-                    state.scalars[_counter] = value
-                    snapshot(state)
-                    _body(state, snapshot)
-                    value += _step
-                state.scalars[_counter] = value
-                snapshot(state)
-
-            return run_loop
-        plain = compile_stmt(stmt, options)
-
-        def run_plain(state, snapshot, _plain=plain):
-            _plain(state)
-
-        return run_plain

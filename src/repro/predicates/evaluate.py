@@ -95,8 +95,6 @@ def evaluate_quantified(
     for assignment in iterate_assignments(constraint.bounds, state, bindings):
         merged = {**bindings, **assignment}
         if constraint.guard is not None:
-            from repro.ir.nodes import Compare
-
             guard_value = _evaluate_guard(constraint.guard, state, merged)
             if not guard_value:
                 continue
@@ -106,7 +104,7 @@ def evaluate_quantified(
 
 
 # Guard comparisons are encoded as Call nodes with these function names;
-# the compiled evaluation backends (:mod:`repro.compile`) import this
+# the compiled evaluators (:mod:`repro.compile`) import this
 # mapping so interpreter and compiled guards can never drift apart.
 GUARD_OPS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "/="}
 

@@ -29,7 +29,7 @@ class ExecutionError(Exception):
     """Raised when a statement cannot be executed in the given state."""
 
 
-# Default per-loop iteration budget; the compiled statement backends
+# Default per-loop iteration budget; the compiled statements
 # (:mod:`repro.compile`) import this so both evaluation modes always
 # share one budget.
 MAX_ITERATIONS = 1_000_000

@@ -1,7 +1,7 @@
 """Shared numeric coercion and comparison for every evaluation path.
 
 Both expression interpreters (:mod:`repro.semantics.evalexpr`) and the
-closure compiler (:mod:`repro.compile`) must agree bit-for-bit on how a
+generated code of :mod:`repro.compile` must agree bit-for-bit on how a
 possibly-symbolic value is forced to a concrete number and on how two
 values compare.  Keeping the single implementation here guarantees
 that: the interpreted and compiled evaluators literally call the same

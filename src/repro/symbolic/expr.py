@@ -17,8 +17,8 @@ and field values match an already-live node returns that same object,
 so structurally equal subtrees are shared.  Derived data — the node's
 hash, its pre-order ``walk()`` tuple, ``symbols()``/``arrays()``/
 ``size()`` and ``repr`` — is computed once per node and cached, which
-is what makes identity-keyed memoisation (``simplify``, the closure
-compiler in :mod:`repro.compile`) effective.  Numeric field values are
+is what makes identity-keyed memoisation (``simplify``, the compiled
+evaluators in :mod:`repro.compile`) effective.  Numeric field values are
 type-tagged in the intern key so ``Const(Fraction(2))`` and
 ``Const(2.0)`` remain distinct objects (they print differently), even
 though they still compare equal structurally, exactly as before.

@@ -139,18 +139,18 @@ class CounterexampleReplay:
     here, and each *new* candidate is replayed against the whole buffer
     before any verifier tier runs.  With compilation enabled the replay
     goes through the compiled VC clauses (the candidate's formulas are
-    translated once, the clause prefixes once per problem); the
-    fallback replays through the interpreted ``VCProblem.check``.
-    Either way the accept/reject decisions are identical.
+    compiled once, the clause prefixes once per problem); the
+    interpreted mode replays through ``VCProblem.check``.  Either way
+    the accept/reject decisions are identical.
     """
 
     def __init__(self, vc, compile_options: CompileOptions, compiled_vc=None):
         self.states: List[State] = []
-        if compile_options.enabled and compile_options.replay_counterexamples:
+        if compile_options.enabled:
             # Reuse the verifier's compiled VC when it exists (it is built
             # from the same problem), rather than compiling a second one.
             if compiled_vc is None:
-                compiled_vc = CompiledVC(vc, compile_options)
+                compiled_vc = CompiledVC(vc)
             self._check = compiled_vc.check
         else:
             self._check = vc.check
@@ -199,11 +199,7 @@ def _solve_problem(
     examples = CounterexampleReplay(
         problem.vc,
         compile_options,
-        compiled_vc=(
-            verifier._compiled_vc
-            if verifier.vc is problem.vc and verifier.compile_options == compile_options
-            else None
-        ),
+        compiled_vc=verifier._compiled_vc if verifier.vc is problem.vc else None,
     )
     rng = random.Random(seed)
 
@@ -307,10 +303,10 @@ def synthesis_config(
 ) -> Dict[str, Any]:
     """The options that determine a synthesis outcome, as a cache-key mapping.
 
-    ``compile_options`` is part of the key even though both evaluation
-    backends must agree bit-for-bit: a stale entry recorded under a
-    buggy backend must never be replayed as if the other backend had
-    produced it.  The inductive-prover configuration (including the
+    ``compile_options`` is part of the key even though compiled and
+    interpreted evaluation must agree bit-for-bit: a stale entry
+    recorded under a buggy compiled path must never be replayed as if
+    the interpreter had produced it.  The inductive-prover configuration (including the
     prover version) is part of the key because the prover steers which
     candidate wins and emits the stored certificate.
     """
@@ -551,8 +547,8 @@ def synthesize_kernel_uncached(
     explicit ``strategies`` argument forces the sequential path).
     ``timeout`` bounds the total synthesis time — between strategies on
     the sequential path, and as a hard wait deadline when racing.
-    ``compile_options`` selects the evaluation backend (closure-compiled
-    by default, tree-walking interpreters when disabled); both backends
+    ``compile_options`` selects how candidates are evaluated (generated
+    code by default, the tree-walking interpreters when disabled); both
     produce bit-identical results.
 
     ``inductive`` enables the Tier-3 unbounded prover

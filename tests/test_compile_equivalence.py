@@ -1,12 +1,13 @@
-"""Compiled-vs-interpreted equivalence for the closure-compilation layer.
+"""Compiled-vs-interpreted equivalence for the compiled evaluation layer.
 
 The compiled evaluators (:mod:`repro.compile`) must be *bit-identical*
 to the tree-walking interpreters: same values (including ``Fraction``
 vs ``float`` behaviour and GF(7) field elements), same exception types
-and messages (division by zero, unbound scalars, symbolic indices), on
-both backends (per-node closures and ``compile()``-ed source).  The
-properties are checked on random expressions, on every suite kernel's
-executable body, and end-to-end through ``synthesize_kernel``.
+and messages (division by zero, unbound scalars, symbolic indices).
+The properties are checked on random expressions, on random quantified
+constraints across the first-tier-to-generated-code upgrade, on every
+suite kernel's executable body, and end-to-end through
+``synthesize_kernel``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.fingerprint import CODE_VERSION
 from repro.compile import (
+    INTERPRETED,
     CompileOptions,
     CompiledCollector,
     CompiledVC,
@@ -37,7 +39,7 @@ from repro.compile import codegen, predcomp
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
 from repro.ir import nodes as ir
-from repro.predicates.evaluate import evaluate_quantified
+from repro.predicates.evaluate import GUARD_OPS, evaluate_quantified
 from repro.predicates.language import (
     Bound,
     Invariant,
@@ -67,13 +69,6 @@ from repro.symbolic.expr import (
 from repro.synthesis.cegis import synthesis_config, synthesize_kernel
 from repro.synthesis.floatmodel import Mod7
 from repro.vcgen.hoare import generate_vc
-
-INTERPRETED = CompileOptions(enabled=False)
-CLOSURES = CompileOptions(codegen=False)
-CODEGEN = CompileOptions(codegen=True)
-NO_FOLD = CompileOptions(fold_constants=False, specialize_indices=False)
-
-BACKENDS = [CLOSURES, CODEGEN, NO_FOLD]
 
 
 def kernel_from_source(source: str):
@@ -174,9 +169,8 @@ BINDINGS = {"q1": 1, "q2": -2}
 def test_sym_expr_backends_match_interpreter(expr):
     state = _make_state()
     reference = repr(outcome(lambda: eval_sym_expr(expr, state, BINDINGS)))
-    for options in BACKENDS:
-        fn = compile_sym_expr(expr, options)
-        assert repr(outcome(lambda: fn(state, BINDINGS))) == reference
+    fn = compile_sym_expr(expr)
+    assert repr(outcome(lambda: fn(state, BINDINGS))) == reference
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,9 +180,8 @@ def test_sym_expr_matches_on_symbolic_state(expr):
     # compared through their printed form.
     state = State(scalars={"i": 2, "j": 0, "n": sym("n"), "w": sym("w")})
     reference = repr(outcome(lambda: eval_sym_expr(expr, state, BINDINGS)))
-    for options in BACKENDS:
-        fn = compile_sym_expr(expr, options)
-        assert repr(outcome(lambda: fn(state, BINDINGS))) == reference
+    fn = compile_sym_expr(expr)
+    assert repr(outcome(lambda: fn(state, BINDINGS))) == reference
 
 
 class TestSymEdgeCases:
@@ -197,18 +190,16 @@ class TestSymEdgeCases:
         state = State(scalars={"i": 4, "j": 7})
         reference = outcome(lambda: eval_sym_expr(expr, state, {}))
         assert reference[0] == "err" and reference[1] == "ZeroDivisionError"
-        for options in BACKENDS:
-            fn = compile_sym_expr(expr, options)
-            assert outcome(lambda: fn(state, {})) == reference
+        fn = compile_sym_expr(expr)
+        assert outcome(lambda: fn(state, {})) == reference
 
     def test_unbound_scalar_message_parity(self):
         expr = Add(Sym("nope"), Const(Fraction(1)))
         state = State()
         reference = outcome(lambda: eval_sym_expr(expr, state, {}))
         assert reference[0] == "err" and reference[1] == "EvalError"
-        for options in BACKENDS:
-            fn = compile_sym_expr(expr, options)
-            assert outcome(lambda: fn(state, {})) == reference
+        fn = compile_sym_expr(expr)
+        assert outcome(lambda: fn(state, {})) == reference
 
     @pytest.mark.parametrize(
         "value", [2, Fraction(-3, 2), 0.5, -0.0, 1e300, Fraction(1, 7), math.inf, math.nan]
@@ -218,34 +209,122 @@ class TestSymEdgeCases:
         for node in (Add, Sub, Mul):
             for expr in (node(Const(value), Sym("w")), node(Sym("w"), Const(value))):
                 reference = repr(outcome(lambda: eval_sym_expr(expr, state, {})))
-                for options in BACKENDS:
-                    fn = compile_sym_expr(expr, options)
-                    assert repr(outcome(lambda: fn(state, {}))) == reference
+                fn = compile_sym_expr(expr)
+                assert repr(outcome(lambda: fn(state, {}))) == reference
 
     def test_fraction_const_normalises_to_int(self):
-        fn = compile_sym_expr(Const(Fraction(4)), CODEGEN)
+        fn = compile_sym_expr(Const(Fraction(4)))
         value = fn(State(), {})
         assert value == 4 and type(value) is int
 
     def test_float_vs_fraction_division(self):
         state = State(scalars={"x": 1, "y": 3})
         exact = Div(Sym("x"), Sym("y"))
-        for options in BACKENDS:
-            assert compile_sym_expr(exact, options)(state, {}) == Fraction(1, 3)
+        assert compile_sym_expr(exact)(state, {}) == Fraction(1, 3)
         state_float = State(scalars={"x": 1.0, "y": 3})
         interp = eval_sym_expr(exact, state_float, {})
-        for options in BACKENDS:
-            value = compile_sym_expr(exact, options)(state_float, {})
-            assert value == interp and type(value) is float
+        value = compile_sym_expr(exact)(state_float, {})
+        assert value == interp and type(value) is float
 
     def test_symbolic_index_error_parity(self):
         expr = ArrayCell("a", (Sym("k"),))
         state = State(scalars={"k": sym("k")})
         reference = outcome(lambda: eval_sym_expr(expr, state, {}))
         assert reference[0] == "err" and reference[1] == "TypeError"
-        for options in BACKENDS:
-            fn = compile_sym_expr(expr, options)
-            assert outcome(lambda: fn(state, {})) == reference
+        fn = compile_sym_expr(expr)
+        assert outcome(lambda: fn(state, {})) == reference
+
+
+# ---------------------------------------------------------------------------
+# Quantified constraints across the tier upgrade
+# ---------------------------------------------------------------------------
+
+GUARD_NAMES = sorted(GUARD_OPS) + ["nosuchop"]
+CALLER_BINDINGS = (None, {}, BINDINGS, {"i": 1, "q2": Mod7(2)})
+_small_ints = st.integers(-1, 3).map(lambda n: Const(Fraction(n)))
+
+
+# Bound-end kinds, weighted so most quantifier ranges evaluate.
+_END_KINDS = ("literal",) * 6 + ("scalar", "invalid", "earlier", "offset")
+
+
+def _bound_end(draw, earlier, low, high):
+    """One end of a quantifier bound.
+
+    Mostly an integer literal in ``[low, high]`` (lower ends are drawn
+    low and upper ends high, so most ranges are not empty), else an
+    integer scalar, an earlier quantified variable (plain or offset), or
+    an end that is not an integer (``n``), symbolic (``s``) or unbound.
+    """
+    kind = draw(st.sampled_from(_END_KINDS))
+    literal = Const(Fraction(draw(st.integers(low, high))))
+    if kind == "scalar":
+        return Sym(draw(st.sampled_from(["i", "j"])))
+    if kind == "invalid":
+        return Sym(draw(st.sampled_from(["n", "s", "missing"])))
+    if kind in {"earlier", "offset"} and earlier:
+        prior = Sym(draw(st.sampled_from(earlier)))
+        return prior if kind == "earlier" else Add(prior, literal)
+    return literal
+
+
+@st.composite
+def quantified_constraints(draw):
+    bounds = []
+    for var in BOUND_NAMES[: draw(st.integers(1, 2))]:
+        earlier = [bound.var for bound in bounds]
+        bounds.append(
+            Bound(
+                var,
+                _bound_end(draw, earlier, -1, 1),
+                _bound_end(draw, earlier, 1, 3),
+                lower_strict=draw(st.booleans()),
+                upper_strict=draw(st.booleans()),
+            )
+        )
+    operand = st.one_of(st.sampled_from(BOUND_NAMES).map(Sym), _small_ints, _leaves())
+    guard = draw(
+        st.none()
+        | st.tuples(st.sampled_from(GUARD_NAMES), operand, operand).map(
+            lambda t: Call(t[0], t[1:])
+        )
+    )
+    array = draw(st.sampled_from(["a", "b"]))
+    quantified = st.sampled_from(BOUND_NAMES).map(Sym)
+    index = st.one_of(quantified, quantified, _small_ints, _leaves())
+    indices = tuple(draw(st.lists(index, min_size=1, max_size=2)))
+    rhs = draw(st.one_of(_leaves(), sym_exprs, st.just(ArrayCell(array, indices))))
+    return QuantifiedConstraint(tuple(bounds), OutEq(array, indices, rhs), guard)
+
+
+def _quantifier_state(field: bool) -> State:
+    """A fresh state whose cells are GF(7) elements or rationals."""
+    state = State(scalars={"i": 2, "j": 3, "n": Fraction(5, 2), "w": Mod7(3), "s": sym("s")})
+    if field:
+        state.arrays["a"] = function_array("a", lambda idx: Mod7(sum(idx) % 7))
+        state.arrays["b"] = function_array("b", lambda idx: Mod7((2 * sum(idx) + 1) % 7))
+    else:
+        state.arrays["a"] = function_array("a", lambda idx: Fraction(sum(idx), 3))
+        state.arrays["b"] = constant_array("b", Fraction(1, 3))
+    return state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    constraint=quantified_constraints(),
+    field=st.booleans(),
+    bindings=st.sampled_from(CALLER_BINDINGS),
+)
+def test_quantified_tiers_match_interpreter(constraint, field, bindings):
+    # Cold tables: the first calls run the interpreter tier, the rest the
+    # generated function it upgrades to.
+    clear_compile_caches()
+    check = compile_quantified(constraint)
+    reference = repr(
+        outcome(lambda: evaluate_quantified(constraint, _quantifier_state(field), bindings))
+    )
+    for _ in range(2 * predcomp._CODEGEN_THRESHOLD):
+        assert repr(outcome(lambda: check(_quantifier_state(field), bindings))) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +357,8 @@ def test_ir_expr_backends_match_interpreter():
         state = State(scalars={"i": 1, "j": -2, "n": Fraction(3, 2), "w": 0.75})
         state.arrays["b"] = function_array("b", lambda idx: Fraction(idx[0] + 2, 3))
         reference = outcome(lambda: eval_ir_expr(expr, state))
-        for options in BACKENDS:
-            fn = compile_ir_expr(expr, options)
-            assert outcome(lambda: fn(state)) == reference
+        fn = compile_ir_expr(expr)
+        assert outcome(lambda: fn(state)) == reference
 
 
 def _states_equal(left: State, right: State) -> bool:
@@ -309,8 +387,7 @@ def _concrete_state(kernel, seed: int) -> State:
     return state
 
 
-@pytest.mark.parametrize("options", BACKENDS, ids=["closures", "codegen", "nofold"])
-def test_every_suite_kernel_executes_identically(options):
+def test_every_suite_kernel_executes_identically():
     checked = 0
     for case in all_cases():
         report = identify_candidates(parse_source(case.source))
@@ -323,7 +400,7 @@ def test_every_suite_kernel_executes_identically(options):
         interp_state = _concrete_state(kernel, seed=11)
         compiled_state = _concrete_state(kernel, seed=11)
         reference = outcome(lambda: execute_statement(kernel.body, interp_state))
-        fn = compile_stmt(kernel.body, options)
+        fn = compile_stmt(kernel.body)
         result = outcome(lambda: fn(compiled_state))
         assert result[0] == reference[0], f"{case.name}: {result} vs {reference}"
         if reference[0] == "err":
@@ -339,7 +416,7 @@ def test_collector_matches_interpreted_collector():
 
     kernel = kernel_from_source(RUNNING_EXAMPLE)
     interp_states = _ReachableStateCollector(kernel).run(_concrete_state(kernel, 3))
-    compiled_states = CompiledCollector(kernel, CODEGEN).collect(_concrete_state(kernel, 3))
+    compiled_states = CompiledCollector(kernel).collect(_concrete_state(kernel, 3))
     assert len(interp_states) == len(compiled_states)
     for left, right in zip(interp_states, compiled_states):
         assert _states_equal(left, right)
@@ -366,7 +443,7 @@ class TestSynthesisEquivalence:
         kernel = kernel_from_source(RUNNING_EXAMPLE)
         result = synthesize_kernel(kernel, seed=1)
         vc = generate_vc(kernel)
-        compiled_vc = CompiledVC(vc, CODEGEN)
+        compiled_vc = CompiledVC(vc)
         for seed in range(6):
             state = _concrete_state(kernel, seed)
             assert compiled_vc.check(state, result.candidate) == vc.check(
@@ -427,10 +504,10 @@ def _interpreted_instantiate(invariant, state):
 def test_rebuilt_formulas_reuse_compiled_functions(builds):
     def compile_all():
         return (
-            compile_quantified(_scaled(Fraction(2)), CODEGEN),
-            compile_postcondition(Postcondition((_scaled(Fraction(2)),)), CODEGEN),
-            compile_invariant(_invariant(_scaled(Fraction(2))), CODEGEN),
-            compile_invariant_instantiator(_invariant(_scaled(Fraction(2))), CODEGEN),
+            compile_quantified(_scaled(Fraction(2))),
+            compile_postcondition(Postcondition((_scaled(Fraction(2)),))),
+            compile_invariant(_invariant(_scaled(Fraction(2)))),
+            compile_invariant_instantiator(_invariant(_scaled(Fraction(2)))),
         )
 
     first = compile_all()
@@ -453,7 +530,7 @@ def test_numeric_twins_compile_apart(weights):
     # Dataclass equality conflates the twins; their compiled code must not.
     left, right = (_scaled(weight) for weight in weights)
     assert left == right
-    checks = [compile_quantified(c, CODEGEN) for c in (left, right)]
+    checks = [compile_quantified(c) for c in (left, right)]
     assert checks[0] is not checks[1]
     stored = []
     for constraint, check in zip((left, right), checks):
@@ -461,7 +538,7 @@ def test_numeric_twins_compile_apart(weights):
         assert outcome(lambda: check(_memo_state())) == reference
         invariant = _invariant(constraint)
         compiled, interpreted = _memo_state(), _memo_state()
-        assert compile_invariant_instantiator(invariant, CODEGEN)(compiled)
+        assert compile_invariant_instantiator(invariant)(compiled)
         assert _interpreted_instantiate(invariant, interpreted)
         assert repr(compiled.arrays["a"].cells) == repr(interpreted.arrays["a"].cells)
         stored.append(repr(compiled.arrays["a"].cells))
@@ -474,12 +551,12 @@ def test_invariants_sharing_a_conjunct_share_its_store(builds):
 
     first = _invariant(_scaled(Fraction(2)), _scaled(Fraction(3), array="c"))
     second = _invariant(_scaled(Fraction(2)), _scaled(Fraction(5), array="c"))
-    compile_invariant_instantiator(first, CODEGEN)
+    compile_invariant_instantiator(first)
     assert store_builds() == 2
-    compile_invariant_instantiator(second, CODEGEN)
+    compile_invariant_instantiator(second)
     assert store_builds() == 3
-    shared = predcomp._compile_store(first.conjuncts[0], CODEGEN)
-    assert predcomp._compile_store(second.conjuncts[0], CODEGEN) is shared
+    shared = predcomp._compile_store(first.conjuncts[0])
+    assert predcomp._compile_store(second.conjuncts[0]) is shared
 
 
 def test_cold_lift_compiles_each_formula_once(builds):
@@ -499,10 +576,10 @@ def test_cold_lift_compiles_each_formula_once(builds):
         )
         return [report_signature(report) for report in reports]
 
-    signatures = lift(CODEGEN)
+    signatures = lift(CompileOptions())
     formulas = [build for build in builds if build[0] in {"quant", "store"}]
     assert formulas and len(set(formulas)) == len(formulas)
-    assert lift(CLOSURES) == signatures
+    assert lift(INTERPRETED) == signatures
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +604,9 @@ class TestFingerprints:
             strategies=["dense"],
             compile_options=CompileOptions(),
         )
-        assert config["compile"]["enabled"] is True
+        # The whole compile section of every synthesis-store key: a new
+        # field here re-keys every store, so it must be a deliberate change.
+        assert config["compile"] == {"enabled": True}
 
     def test_toggling_compilation_changes_fingerprint(self):
         from repro.cache.fingerprint import fingerprint_synthesis

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compile import CompileOptions, CompiledCollector
+from repro.compile import CompiledCollector
 from repro.compile.stmtcomp import compile_stmt
 from repro.ir import nodes as ir
 from repro.semantics.exec import (
@@ -57,7 +57,7 @@ def _observe_execution(lower: int, upper: int, step: int, compiled: bool = False
     state = State(scalars={"cnt": 0})
     state.arrays["trace"] = ArrayValue("trace")
     if compiled:
-        compile_stmt(loop, CompileOptions())(state)
+        compile_stmt(loop)(state)
     else:
         execute_statement(loop, state)
     count = state.scalar("cnt")
@@ -86,7 +86,7 @@ class TestTripCount:
         with pytest.raises(ExecutionError):
             execute_statement(loop, State())
         with pytest.raises(ExecutionError):
-            compile_stmt(loop, CompileOptions())(State())
+            compile_stmt(loop)(State())
         with pytest.raises(ExecutionError):
             loop_trip_count(0, 3, 0)
 
@@ -148,7 +148,7 @@ class TestCollectors:
             interpreted = _ReachableStateCollector(kernel).run(
                 State(scalars=dict(env), arrays={"out": ArrayValue("out")})
             )
-            compiled = CompiledCollector(kernel, CompileOptions()).collect(
+            compiled = CompiledCollector(kernel).collect(
                 State(scalars=dict(env), arrays={"out": ArrayValue("out")})
             )
             assert [s.scalars for s in interpreted] == [s.scalars for s in compiled]
