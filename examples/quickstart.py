@@ -20,7 +20,7 @@ This is the single-kernel story; for translating *whole applications*
 (scan every procedure, lift every kernel, substitute, differentially
 execute) see docs/application_translation.md and
 ``examples/lift_cloverleaf.py``.  Scheduled execution here uses the
-Python backends (docs/scheduled_execution.md covers the loop-nest IR,
+generated-Python backend (docs/scheduled_execution.md covers the loop-nest IR,
 the compile-ahead concurrent tuner and the tuned-schedule store;
 docs/static_analysis.md covers the dependence/legality/liveness
 analyses that gate which schedules may run at all); when

@@ -33,12 +33,7 @@ from repro.application.interp import (
 )
 from repro.application.translate import ApplicationBundle, TranslatedKernel
 from repro.frontend.ast import DoLoop
-from repro.halide.lang import FuncRef
-from repro.halide.lower import compile_loop_nest, lower, realize_scheduled
-from repro.halide.loopir import execute_loop_nest
-from repro.native.csource import NativeUnsupportedError
-from repro.native.dispatch import compile_nest_native
-from repro.native.toolchain import ToolchainError, resolve_backend
+from repro.halide.lower import build_runner, lower
 from repro.semantics.exec import loop_counter_values
 
 
@@ -89,51 +84,27 @@ def _replay_loop_control(loop: DoLoop, scope: Scope, interp: FortranInterpreter)
 
 
 def _stencil_runner(stencil, schedule, backend: str, parallel_chunks: int, artifacts, threads=None):
-    """Build one reusable strict-bounds executor for a translated stencil.
+    """Lower a translated stencil once and build its strict-bounds runner.
 
-    This is the small-grid fix: the per-call path used to go through
-    :func:`realize_scheduled`, which re-lowers the stencil and
-    re-``compile()``\\ s its generated-Python runner on *every* site
-    execution (the nest-keyed runner cache never hits because each call
-    lowers a fresh nest).  On small grids that per-call compilation
-    dwarfed the loop work itself.  Translated stencils are single-stage
-    by construction, so each one is lowered exactly once per bundle and
-    its compiled runner — native when the backend allows, generated
-    Python otherwise — is reused for every execution of the site.
-
-    Returns ``None`` for multi-stage definitions, which keep the
-    general ``realize_scheduled`` path.
+    The runner is reused for every execution of the site, so lowering
+    and compilation (``compile()`` or the C compiler) are paid once per
+    bundle, not per call — on small grids per-call compilation used to
+    dwarf the loop work itself.  Translated stencils are single-stage by
+    construction (:func:`repro.backend.halidegen.conjunct_to_func` builds
+    them from image loads, variables, params, constants, arithmetic and
+    calls, never a reference to another Func), so ``lower`` accepts
+    every one of them.
     """
     func = stencil.func
-    if func.definition is None or any(
-        isinstance(node, FuncRef) for node in func.definition.walk()
-    ):
-        return None
     nest = lower(func, schedule if schedule is not None else func.schedule, parallel_chunks)
-    if backend == "interp":
-        def run(domain, inputs, input_origins=None, params=None):
-            return execute_loop_nest(
-                nest, domain, inputs, input_origins, params, strict_bounds=True
-            )
-        return run
-    if backend == "native":
-        try:
-            return compile_nest_native(
-                nest, strict_bounds=True, artifacts=artifacts, threads=threads
-            )
-        except (NativeUnsupportedError, ToolchainError):
-            pass  # outside the native fragment / no toolchain: codegen
-    return compile_loop_nest(nest, strict_bounds=True)
+    return build_runner(nest, backend, True, artifacts, threads)[0]
 
 
 def _execute_site(
     interp: FortranInterpreter,
     scope: Scope,
     tk: TranslatedKernel,
-    backend: str,
-    parallel_chunks: int,
-    runners: Optional[Dict[int, object]] = None,
-    threads: Optional[int] = None,
+    runners: Mapping[int, object],
 ) -> None:
     """Realize every stencil of one substituted site into the live arrays.
 
@@ -157,22 +128,7 @@ def _execute_site(
         params = {
             name: float(scope.scalar(name)) for name in stencil.scalar_params
         }
-        runner = (runners or {}).get(id(stencil))
-        if runner is not None:
-            out = runner(domain, inputs, origins, params)
-        else:
-            out = realize_scheduled(
-                stencil.func,
-                domain,
-                inputs,
-                input_origins=origins,
-                params=params,
-                schedule=tk.schedule,
-                backend=backend,
-                strict_bounds=True,
-                parallel_chunks=parallel_chunks,
-                threads=threads,
-            )
+        out = runners[id(stencil)](domain, inputs, origins, params)
         pending.append((stencil, domain, out))
     for stencil, domain, out in pending:
         target = scope.array(stencil.array)
@@ -200,32 +156,29 @@ def substitution_hooks(
 ):
     """Interpreter site hooks realizing every translated kernel of a bundle.
 
-    Every single-stage stencil is lowered and compiled **once**, here,
-    and its runner is closed over by the hook — site executions then
-    dispatch straight into the compiled kernel (native C when
-    ``backend`` resolves to ``"native"``, generated Python otherwise)
-    instead of re-lowering per call.  ``backend="auto"`` picks the
-    native backend exactly when a C toolchain is present; ``artifacts``
-    optionally shares compiled ``.so`` files across processes;
-    ``threads`` sets the native worker-thread count for every
-    substituted parallel band (``None`` → the process default).
+    Every stencil is lowered and compiled **once**, here, by
+    :func:`~repro.halide.lower.build_runner`, and its runner is closed
+    over by the hook — site executions then dispatch straight into the
+    compiled kernel (native C when ``backend`` resolves to
+    ``"native"``, generated Python otherwise) instead of re-lowering
+    per call.  ``backend="auto"`` picks the native backend exactly when
+    a C toolchain is present, and an unknown name raises
+    :class:`~repro.halide.lang.HalideError`; ``artifacts`` optionally
+    shares compiled ``.so`` files across processes; ``threads`` sets
+    the native worker-thread count for every substituted parallel band
+    (``None`` → the process default).
     """
-    backend = resolve_backend(backend)
     hooks = {}
     for tk in bundle.translated:
         runners = {
-            id(stencil): runner
-            for stencil in tk.stencils
-            for runner in (
-                _stencil_runner(
-                    stencil, tk.schedule, backend, parallel_chunks, artifacts, threads
-                ),
+            id(stencil): _stencil_runner(
+                stencil, tk.schedule, backend, parallel_chunks, artifacts, threads
             )
-            if runner is not None
+            for stencil in tk.stencils
         }
 
         def hook(interp, scope, index, tk=tk, runners=runners):
-            _execute_site(interp, scope, tk, backend, parallel_chunks, runners, threads)
+            _execute_site(interp, scope, tk, runners)
             return tk.site.end
 
         hooks[tk.site.key] = hook

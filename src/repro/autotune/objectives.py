@@ -31,8 +31,7 @@ import numpy as np
 
 from repro.halide.executor import realize
 from repro.halide.lang import Func
-from repro.halide.lower import compile_loop_nest, lower
-from repro.halide.loopir import execute_loop_nest
+from repro.halide.lower import build_runner, lower
 from repro.halide.schedule import Schedule
 from repro.native.toolchain import resolve_backend
 from repro.perfmodel.compiler import HALIDE_CPU
@@ -101,14 +100,15 @@ class MeasuredObjective:
         takes it.  The schedule-blind reference output is computed once
         at construction and every measured run is compared against it.
     backend:
-        ``"codegen"`` (generated-Python, the default), ``"interp"``
-        (the tiled-NumPy interpreter), ``"native"`` (compiled C via
-        :mod:`repro.native`), or ``"auto"`` (native when a C toolchain
-        is present, codegen otherwise).  When native compilation is
-        unavailable for a schedule's nest — no toolchain, or the
-        definition falls outside the bit-identical C fragment — the
-        measurement silently uses codegen; :attr:`effective_backend`
-        records what actually ran last.
+        ``"codegen"`` (generated-Python, the default), ``"native"``
+        (compiled C via :mod:`repro.native`), or ``"auto"`` (native
+        when a C toolchain is present, codegen otherwise); any other
+        name raises :class:`~repro.halide.lang.HalideError` on the
+        first measurement.  When native compilation is unavailable for
+        a schedule's nest — no toolchain, or the definition falls
+        outside the bit-identical C fragment — the measurement uses
+        codegen; :attr:`effective_backend` records what actually ran
+        last.
     repeats:
         Timed runs per schedule; the *minimum* is reported (standard
         practice for microbenchmarks — noise only ever adds time).
@@ -127,7 +127,7 @@ class MeasuredObjective:
         native backend reuses compiled kernels across processes.
     threads:
         Native worker-thread count for measured runs (``None`` → the
-        process default).  Ignored by the Python backends.
+        process default).  Ignored by codegen.
     early_abort:
         When true (default), the repeat loop of a candidate stops as
         soon as its best-so-far exceeds the incumbent minimum across
@@ -182,57 +182,28 @@ class MeasuredObjective:
         # early-abort threshold.  Only measure_prepared updates it.
         self.best_seconds = float("inf")
 
-    def _runner(self, schedule: Schedule):
-        """Lower + compile one schedule into a zero-arg run callable.
+    def _build(self, schedule: Schedule):
+        """Lower + compile one schedule; returns ``(run, backend_used)``.
 
-        Pure with respect to objective state (no mutation), so the
-        pipelined tuner may call it — via :meth:`prepare` — from a
-        background thread while the timing thread measures an earlier
-        candidate.  Each call lowers a fresh nest, so per-nest runner
-        memoisation never crosses threads, and the dominant cost on the
-        native backend (the external C compiler) releases the GIL.
-
-        The backend that actually ran (native falls back to codegen
-        silently) is recorded on the callable as ``run.backend``.
+        ``run`` is a zero-argument callable and ``backend_used`` the
+        backend :func:`~repro.halide.lower.build_runner` actually chose
+        (native falls back to codegen).  Pure with respect to objective
+        state (no mutation), so the pipelined tuner may call it — via
+        :meth:`prepare` — from a background thread while the timing
+        thread measures an earlier candidate.  Each call lowers a fresh
+        nest, so per-nest runner memoisation never crosses threads, and
+        the dominant cost on the native backend (the external C
+        compiler) releases the GIL.
         """
         nest = lower(self.func, schedule, self.parallel_chunks)
-        if self.backend == "interp":
-            def run():
-                return execute_loop_nest(
-                    nest, self.domain, self.inputs, self.input_origins,
-                    self.params, self.strict_bounds,
-                )
-            run.backend = "interp"
-            return run
-        runner = None
-        if self.backend == "native":
-            from repro.native.csource import NativeUnsupportedError
-            from repro.native.dispatch import compile_nest_native
-            from repro.native.toolchain import ToolchainError
-
-            try:
-                runner = compile_nest_native(
-                    nest,
-                    self.strict_bounds,
-                    artifacts=self.artifacts,
-                    threads=self.threads,
-                )
-            except (NativeUnsupportedError, ToolchainError):
-                runner = None  # measure on codegen instead
-        backend_used = "native" if runner is not None else "codegen"
-        if runner is None:
-            runner = compile_loop_nest(nest, self.strict_bounds)
+        runner, backend_used = build_runner(
+            nest, self.backend, self.strict_bounds, self.artifacts, self.threads
+        )
 
         def run():
             return runner(self.domain, self.inputs, self.input_origins, self.params)
 
-        run.backend = backend_used
-        return run
-
-    def _build(self, schedule: Schedule):
-        """Lower + compile one schedule; returns ``(run, backend_used)``."""
-        run = self._runner(schedule)
-        return run, getattr(run, "backend", self.backend)
+        return run, backend_used
 
     def prepare(self, schedule: Schedule) -> PreparedSchedule:
         """The compile half of a measurement (safe off the timing thread)."""
@@ -249,8 +220,7 @@ class MeasuredObjective:
         """
         schedule = prepared.schedule
         run = prepared.run
-        if self.backend != "interp":
-            self.effective_backend = prepared.backend
+        self.effective_backend = prepared.backend
         best = float("inf")
         out = None
         for _ in range(self.warmup):

@@ -13,9 +13,11 @@ package provides the pieces the pipeline needs:
   executor used to check generated pipelines against the original
   Fortran kernels;
 * :mod:`repro.halide.loopir` — the explicit loop-nest IR that schedules
-  lower to, plus the tiled-NumPy interpreter backend;
-* :mod:`repro.halide.lower` — the lowering pass and the generated-Python
-  ``compile()`` backend; :func:`~repro.halide.lower.realize_scheduled`
+  lower to;
+* :mod:`repro.halide.lower` — the lowering pass, the generated-Python
+  ``compile()`` backend and :func:`~repro.halide.lower.build_runner`,
+  the one place that picks it or the compiled-C backend of
+  :mod:`repro.native`; :func:`~repro.halide.lower.realize_scheduled`
   executes a (Func, Schedule) pair for real, bit-identical to the
   reference;
 * :mod:`repro.halide.cppgen` — emission of the C++ Halide source text
@@ -33,8 +35,8 @@ and wall-clock measurement of the lowered loop nests
 from repro.halide.lang import Expr, Func, HalideError, ImageParam, Param, Var
 from repro.halide.schedule import Schedule, ScheduleError
 from repro.halide.executor import OutOfBoundsError, realize
-from repro.halide.loopir import LoopNest, execute_loop_nest
-from repro.halide.lower import compile_loop_nest, lower, realize_scheduled
+from repro.halide.loopir import LoopNest
+from repro.halide.lower import build_runner, compile_loop_nest, lower, realize_scheduled
 from repro.halide.cppgen import emit_cpp
 
 __all__ = [
@@ -48,9 +50,9 @@ __all__ = [
     "Schedule",
     "ScheduleError",
     "Var",
+    "build_runner",
     "compile_loop_nest",
     "emit_cpp",
-    "execute_loop_nest",
     "lower",
     "realize",
     "realize_scheduled",

@@ -365,24 +365,6 @@ def _stage_probe(func: Func, definition: Expr) -> Func:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def realize_box(
-    func: Func,
-    box: Domain,
-    inputs: Mapping[str, np.ndarray],
-    input_origins: Mapping[str, Tuple[int, ...]],
-    params: Mapping[str, float],
-    strict_bounds: bool = False,
-) -> np.ndarray:
-    """Evaluate a stage-free Func over one rectangular box (slab evaluation).
-
-    This is the computational core shared by :func:`realize` (one box =
-    the whole domain) and the loop-nest interpreter backend (one box per
-    vector span).
-    """
-    realizer = _Realizer(func, box, inputs, input_origins, params, strict_bounds)
-    return realizer.evaluate(func.definition)
-
-
 def realize(
     func: Func,
     domain: Domain,
@@ -436,4 +418,7 @@ def _realize_reference(
     merged_inputs.update(stage_buffers)
     merged_origins = dict(input_origins)
     merged_origins.update(stage_origins)
-    return realize_box(flattened, domain, merged_inputs, merged_origins, params, strict_bounds)
+    realizer = _Realizer(
+        flattened, domain, merged_inputs, merged_origins, params, strict_bounds
+    )
+    return realizer.evaluate(flattened.definition)

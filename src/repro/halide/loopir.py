@@ -4,12 +4,11 @@ A :class:`LoopNest` is what a ``(Func, Schedule)`` pair *means*
 operationally: tiling, dimension reordering, unrolling and parallel
 chunking become actual nested :class:`Loop` nodes, and the vectorised
 innermost band becomes a :class:`ComputeSpan` leaf that evaluates one
-vector-width slab of output points at a time.  The lowering pass lives
-in :mod:`repro.halide.lower`; this module defines the IR nodes, their
-pretty printer, and the **tiled-NumPy interpreter backend** that walks
-the tree directly.  The second backend — generated Python compiled with
-``compile()`` in the style of :mod:`repro.compile` — also lives in
-:mod:`repro.halide.lower`.
+vector-width slab of output points at a time.  This module defines the
+IR nodes and their pretty printer.  The lowering pass and the
+generated-Python backend live in :mod:`repro.halide.lower`, the
+compiled-C backend in :mod:`repro.native`, and
+:func:`repro.halide.lower.build_runner` chooses between the two.
 
 Both backends are bit-identical to the schedule-blind reference
 ``repro.halide.executor.realize`` for every valid schedule: a schedule
@@ -27,11 +26,8 @@ build the ``min(tile_start + tile - 1, hi)`` bounds that tiling needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
-import numpy as np
-
-from repro.halide.executor import Domain, realize_box
 from repro.halide.lang import Func, HalideError
 from repro.halide.schedule import Schedule
 
@@ -78,24 +74,6 @@ class Clamped:
 
 
 BoundExpr = Union[DomainLo, DomainHi, LoopVar, Shifted, Clamped]
-
-
-def eval_bound(bound: BoundExpr, lows: Sequence[int], highs: Sequence[int], env: Mapping[str, int]) -> int:
-    """Evaluate a symbolic bound for a concrete domain and loop environment."""
-    if isinstance(bound, DomainLo):
-        return lows[bound.axis]
-    if isinstance(bound, DomainHi):
-        return highs[bound.axis]
-    if isinstance(bound, LoopVar):
-        return env[bound.name]
-    if isinstance(bound, Shifted):
-        return eval_bound(bound.base, lows, highs, env) + bound.offset
-    if isinstance(bound, Clamped):
-        return min(
-            eval_bound(bound.left, lows, highs, env),
-            eval_bound(bound.right, lows, highs, env),
-        )
-    raise HalideError(f"unknown bound expression {bound!r}")
 
 
 def bound_source(bound: BoundExpr) -> str:
@@ -244,78 +222,3 @@ def chunk_ranges(lower: int, upper: int, step: int, chunks: int) -> List[Tuple[i
         start = start + per_chunk
     return ranges
 
-
-# ---------------------------------------------------------------------------
-# Tiled-NumPy interpreter backend
-# ---------------------------------------------------------------------------
-
-def execute_loop_nest(
-    nest: LoopNest,
-    domain: Domain,
-    inputs: Mapping[str, np.ndarray],
-    input_origins: Optional[Mapping[str, Tuple[int, ...]]] = None,
-    params: Optional[Mapping[str, float]] = None,
-    strict_bounds: bool = False,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Execute a lowered loop nest by walking the tree (interpreter backend).
-
-    Every :class:`ComputeSpan` evaluates one vector span as a numpy slab
-    through :func:`repro.halide.executor.realize_box` — the same
-    evaluation code the schedule-blind reference uses over the whole
-    domain — so results are bit-identical to ``realize`` by
-    construction.
-    """
-    func = nest.func
-    if len(domain) != func.dimensions:
-        raise HalideError(
-            f"domain rank {len(domain)} does not match Func rank {func.dimensions}"
-        )
-    input_origins = dict(input_origins or {})
-    params = dict(params or {})
-    lows = [lo for lo, _hi in domain]
-    highs = [hi for _lo, hi in domain]
-    shape = tuple(hi - lo + 1 for lo, hi in domain)
-    if out is None:
-        out = np.empty(shape, dtype=float)
-
-    env: Dict[str, int] = {}
-
-    def run(node: Union[Loop, ComputeSpan]) -> None:
-        if isinstance(node, ComputeSpan):
-            _compute_spans(node, env)
-            return
-        lower = eval_bound(node.lower, lows, highs, env)
-        upper = eval_bound(node.upper, lows, highs, env)
-        if node.kind == "parallel":
-            for chunk_lo, chunk_hi in chunk_ranges(lower, upper, node.step, node.chunks):
-                for value in range(chunk_lo, chunk_hi + 1, node.step):
-                    env[node.var] = value
-                    run(node.body)
-        else:
-            for value in range(lower, upper + 1, node.step):
-                env[node.var] = value
-                run(node.body)
-
-    def _compute_spans(span: ComputeSpan, env: Mapping[str, int]) -> None:
-        band_hi = eval_bound(span.upper, lows, highs, env)
-        for k in range(span.unroll):
-            start = env[span.var] + k * span.width
-            if start > band_hi:
-                break
-            end = min(start + span.width - 1, band_hi)
-            box: List[Tuple[int, int]] = []
-            index: List[object] = []
-            for axis in range(func.dimensions):
-                if axis == span.axis:
-                    box.append((start, end))
-                    index.append(slice(start - lows[axis], end - lows[axis] + 1))
-                else:
-                    coord = env[nest.point_vars[axis]]
-                    box.append((coord, coord))
-                    index.append(coord - lows[axis])
-            slab = realize_box(func, box, inputs, input_origins, params, strict_bounds)
-            out[tuple(index)] = slab.reshape(-1)
-
-    run(nest.root)
-    return out

@@ -2,20 +2,23 @@
 
 :func:`lower` builds the :class:`~repro.halide.loopir.LoopNest` — the
 schedule's tiling, ``dim_order`` reordering, unrolling, parallel
-chunking and vector width become actual loop structure.  Two
-interchangeable backends execute it:
+chunking and vector width become actual loop structure.  Two backends
+execute it, and :func:`build_runner` is the one place that chooses
+between them:
 
-* the **tiled-NumPy interpreter** (:func:`repro.halide.loopir.execute_loop_nest`)
-  walks the tree and evaluates one vector span at a time; and
-* the **generated-Python backend** here, which flattens the whole nest
-  into straight-line Python source compiled once with ``compile()`` —
-  the same approach :mod:`repro.compile` uses for the CEGIS inner loop.
-  Scalar bands become plain Python arithmetic (exactly-rounded IEEE
-  double operations, bit-identical to numpy's elementwise kernels);
-  vectorised bands are evaluated as numpy slabs, one slab per strip
-  (consecutive vector spans of a strip are fused — they compute the
-  same values in the same order, so results are unchanged while the
-  numpy dispatch overhead is amortised over the strip).
+* the **generated-Python backend** here (``"codegen"``), which flattens
+  the whole nest into straight-line Python source compiled once with
+  ``compile()`` — the same approach :mod:`repro.compile` uses for the
+  CEGIS inner loop.  Scalar bands become plain Python arithmetic
+  (exactly-rounded IEEE double operations, bit-identical to numpy's
+  elementwise kernels); vectorised bands are evaluated as numpy slabs,
+  one slab per strip (consecutive vector spans of a strip are fused —
+  they compute the same values in the same order, so results are
+  unchanged while the numpy dispatch overhead is amortised over the
+  strip); and
+* the **compiled-C backend** of :mod:`repro.native` (``"native"``),
+  which falls back to codegen when the definition lies outside its
+  bit-identical fragment or no C compiler is usable.
 
 :func:`realize_scheduled` is the schedule-aware twin of the
 schedule-blind reference :func:`repro.halide.executor.realize`
@@ -64,12 +67,11 @@ from repro.halide.loopir import (
     Shifted,
     bound_source,
     chunk_ranges,
-    execute_loop_nest,
 )
 from repro.halide.schedule import Schedule, ScheduleError
 from repro.semantics.numeric import trunc_div, trunc_mod
 
-BACKENDS = ("codegen", "interp", "native")
+BACKENDS = ("codegen", "native")
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +558,51 @@ def compile_loop_nest(nest: LoopNest, strict_bounds: bool = False):
     return runner
 
 
+def build_runner(
+    nest: LoopNest,
+    backend: str,
+    strict_bounds: bool = False,
+    artifacts=None,
+    threads: Optional[int] = None,
+):
+    """Compile a lowered nest on ``backend``; returns ``(runner, backend_used)``.
+
+    ``backend`` is one of :data:`BACKENDS` or ``"auto"`` (native when a
+    C toolchain is present, codegen otherwise); any other name raises
+    :class:`HalideError`.  ``"native"`` falls back to codegen when the
+    definition lies outside the native backend's bit-identical fragment
+    (e.g. transcendental calls), no C compiler is usable, or the compile
+    fails — the two are interchangeable by construction — and
+    ``backend_used`` names the backend that will actually run.  Both runners are called as
+    ``runner(domain, inputs, input_origins=None, params=None)``.
+
+    ``artifacts`` (an :class:`~repro.cache.artifacts.ArtifactStore`)
+    lets the native backend reuse compiled shared objects across
+    processes; without it, native builds are cached per process only.
+    ``threads`` is the native backend's worker-thread count for
+    parallel chunk bands (``None`` → the ``$REPRO_NATIVE_THREADS``
+    default, 1 when unset); codegen ignores it.
+    """
+    from repro.native.toolchain import ToolchainError, resolve_backend
+
+    backend = resolve_backend(backend)
+    if backend not in BACKENDS:
+        raise HalideError(f"unknown loop-nest backend {backend!r} (choose from {BACKENDS})")
+    if backend == "native":
+        from repro.native.csource import NativeUnsupportedError
+        from repro.native.dispatch import compile_nest_native
+
+        try:
+            runner = compile_nest_native(
+                nest, strict_bounds, artifacts=artifacts, threads=threads
+            )
+        except (NativeUnsupportedError, ToolchainError):
+            pass  # outside the native fragment, or no working C compiler
+        else:
+            return runner, "native"
+    return compile_loop_nest(nest, strict_bounds), "codegen"
+
+
 # ---------------------------------------------------------------------------
 # Schedule-aware realization
 # ---------------------------------------------------------------------------
@@ -579,32 +626,12 @@ def realize_scheduled(
     The schedule applies to the *root* stage (default: the Func's
     attached schedule); producer stages in a multi-stage pipeline run
     under their own attached schedules, or are substituted into their
-    consumer when scheduled ``inline``.  ``backend`` selects the
-    tiled-NumPy interpreter (``"interp"``), the generated-Python
-    ``compile()`` backend (``"codegen"``), or the compiled-C
-    :mod:`repro.native` backend (``"native"``; ``"auto"`` picks native
-    when a C toolchain is present and codegen otherwise).  Results are
-    bit-identical to the schedule-blind
-    :func:`repro.halide.executor.realize` for every valid schedule and
-    backend.
-
-    ``artifacts`` (an :class:`~repro.cache.artifacts.ArtifactStore`)
-    lets the native backend reuse compiled shared objects across
-    processes; without it, native builds are cached per process only.
-    ``threads`` is the native backend's worker-thread count for
-    parallel chunk bands (``None`` → the ``$REPRO_NATIVE_THREADS``
-    default, 1 when unset); results are bit-identical for every thread
-    count, and the Python backends ignore it.  A definition outside the
-    native backend's bit-identical fragment (e.g. transcendental calls)
-    silently falls back to ``codegen`` — the two are interchangeable by
-    construction.
+    consumer when scheduled ``inline``.  Every stage is compiled by
+    :func:`build_runner`, which documents ``backend``, ``artifacts``
+    and ``threads``.  Results are bit-identical to the schedule-blind
+    :func:`repro.halide.executor.realize` for every valid schedule,
+    backend and thread count.
     """
-    if backend == "auto":
-        from repro.native.toolchain import resolve_backend
-
-        backend = resolve_backend(backend)
-    if backend not in BACKENDS:
-        raise HalideError(f"unknown loop-nest backend {backend!r} (choose from {BACKENDS})")
     input_origins = dict(input_origins or {})
     params = dict(params or {})
 
@@ -633,21 +660,5 @@ def realize_scheduled(
     merged_origins.update(stage_origins)
 
     nest = lower(flattened, schedule if schedule is not None else func.schedule, parallel_chunks)
-    if backend == "interp":
-        return execute_loop_nest(
-            nest, domain, merged_inputs, merged_origins, params, strict_bounds
-        )
-    if backend == "native":
-        from repro.native.csource import NativeUnsupportedError
-        from repro.native.dispatch import compile_nest_native
-
-        try:
-            native_runner = compile_nest_native(
-                nest, strict_bounds=strict_bounds, artifacts=artifacts, threads=threads
-            )
-        except NativeUnsupportedError:
-            pass  # outside the bit-identical C fragment: codegen instead
-        else:
-            return native_runner(domain, merged_inputs, merged_origins, params)
-    runner = compile_loop_nest(nest, strict_bounds)
+    runner = build_runner(nest, backend, strict_bounds, artifacts, threads)[0]
     return runner(domain, merged_inputs, merged_origins, params)

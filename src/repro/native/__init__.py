@@ -4,8 +4,8 @@ The pipeline has always *emitted* C++ (:mod:`repro.halide.cppgen`) and
 Fortran glue (:mod:`repro.backend.gluegen`) without ever executing
 them, so every translated kernel ran through NumPy or generated Python
 — fast on big grids, a pessimization on small ones where per-call
-dispatch dominates.  This package closes the gap with a third,
-*native* execution backend:
+dispatch dominates.  This package closes the gap with a *native*
+execution backend:
 
 * :mod:`repro.native.csource` emits a self-contained C translation of a
   lowered :class:`~repro.halide.loopir.LoopNest` with one flat
@@ -14,17 +14,18 @@ dispatch dominates.  This package closes the gap with a third,
   (``$REPRO_CC``, then ``cc``/``gcc``/``clang``) and turns the source
   into a shared object with floating-point-strict flags
   (``-fno-fast-math -ffp-contract=off``) so results stay bit-identical
-  to the Python backends;
+  to the generated-Python backend;
 * :mod:`repro.native.dispatch` loads the ``.so`` through ``ctypes`` and
   calls it with zero-copy NumPy buffer passing; compiled artifacts are
   content-addressed in an :class:`~repro.cache.artifacts.ArtifactStore`
   so warm runs ``dlopen`` instead of re-compiling.
 
 The backend is selected as ``backend="native"`` wherever
-``"codegen"``/``"interp"`` are accepted
-(:func:`repro.halide.lower.realize_scheduled`, the application
-executor, :class:`repro.autotune.MeasuredObjective`); ``"auto"``
-resolves to native when a toolchain is present and falls back to the
+``"codegen"`` is accepted (:func:`repro.halide.lower.realize_scheduled`,
+the application executor, :class:`repro.autotune.MeasuredObjective`);
+all of them build through :func:`repro.halide.lower.build_runner`,
+which falls back to codegen when native compilation is impossible.
+``"auto"`` resolves to native when a toolchain is present and to the
 generated-Python backend otherwise.  See ``docs/native_execution.md``.
 """
 

@@ -21,8 +21,8 @@ keeping one uniform ABI).  The return value is 0 on success; under
 ``strict_bounds`` an out-of-range load stops execution, fills ``err``
 with ``(image index, dimension, offending buffer-relative coordinate)``
 and returns 1 — the dispatcher raises the same
-:class:`~repro.halide.executor.OutOfBoundsError` the Python backends
-raise.
+:class:`~repro.halide.executor.OutOfBoundsError` the generated-Python
+backend raises.
 
 Threaded emission (``emit_c_source(..., threaded=True)``): when the
 nest's *outermost* loop is a ``parallel`` chunk band, the band is
@@ -51,12 +51,14 @@ band-entry ordinal so the entry point can report the serially-first
 one.  An uncertified non-root band keeps the serial emission below
 (still bit-identical, just not threaded).
 
-Bit-identity with the Python backends is by construction, not by luck:
+Bit-identity with the generated-Python backend is by construction, not
+by luck:
 
 * the loop structure is the lowered nest itself — tiles, reordering,
-  unrolling and strips become the same traversal order the interpreter
-  walks (parallel chunking is order-preserving by design, so chunked
-  loops are emitted as their equivalent serial loops);
+  unrolling and strips become the same traversal order the
+  generated-Python backend emits (parallel chunking is
+  order-preserving by design, so chunked loops are emitted as their
+  equivalent serial loops);
 * every per-cell operation is a single IEEE-754 double operation in
   both backends (the expression *tree* is identical, and ``+ - * /``
   are correctly rounded everywhere), with contraction and

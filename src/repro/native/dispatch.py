@@ -22,7 +22,7 @@ consulted *before* compiling — a warm run ``dlopen``\\ s the cached
 store, builds land in a per-process temporary directory that is removed
 at exit.
 
-Error behaviour mirrors the Python backends: missing buffers, rank
+Error behaviour mirrors the generated-Python backend: missing buffers, rank
 mismatches and missing scalar params raise
 :class:`~repro.halide.lang.HalideError` with the same messages, and a
 strict-bounds violation raises

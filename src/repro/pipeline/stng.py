@@ -19,6 +19,7 @@ from repro.backend.halidegen import (
 from repro.frontend.candidates import Candidate, CandidateReport, identify_candidates
 from repro.frontend.lowering import LoweringError, lower_candidate
 from repro.frontend.parser import ParseError, parse_source
+from repro.halide.lower import BACKENDS
 from repro.halide.schedule import Schedule
 from repro.ir.nodes import Kernel
 from repro.perfmodel.compiler import (
@@ -77,9 +78,10 @@ class PipelineOptions:
     N=k)").  Disabling it reproduces the prover-less pipeline
     byte-identically.
 
-    ``measure_backend`` accepts ``"codegen"``, ``"interp"``,
-    ``"native"`` (compiled C, see :mod:`repro.native`) and ``"auto"``
-    (native when a C toolchain is present).  ``artifact_dir``
+    ``measure_backend`` accepts ``"codegen"``, ``"native"`` (compiled
+    C, see :mod:`repro.native`) and ``"auto"`` (native when a C
+    toolchain is present); any other name raises ``ValueError`` here,
+    before any synthesis.  ``artifact_dir``
     optionally points the native backend at a shared compiled-artifact
     directory so warm pipeline runs load cached ``.so`` files instead
     of re-compiling; the :class:`MeasuredPerformance.backend` field
@@ -116,6 +118,11 @@ class PipelineOptions:
 
     def __post_init__(self) -> None:
         self.compile_options = CompileOptions.coerce(self.compile_options)
+        if self.measure_backend not in ("auto",) + BACKENDS:
+            raise ValueError(
+                f"unknown measure_backend {self.measure_backend!r} "
+                f"(choose from {('auto',) + BACKENDS})"
+            )
 
 
 @dataclass

@@ -12,10 +12,12 @@ from repro.application import (
     differential_check,
     run_application,
     scan_application,
+    substitution_hooks,
     translate_application,
 )
 from repro.cache.store import SynthesisCache
 from repro.frontend.parser import parse_source
+from repro.halide import HalideError
 from repro.pipeline.report import report_signature
 from repro.pipeline.stng import PipelineOptions
 from repro.suites.apps import cloverleaf_mini_app, heat_mini_app, mini_app, mini_apps
@@ -285,9 +287,23 @@ class TestDifferentialExecution:
 
     def test_both_backends_agree(self, bundles):
         bundle = bundles["heat_mini"]
-        for backend in ("codegen", "interp"):
+        for backend in ("codegen", "native"):
             report = differential_check(bundle, grids=(9,), backend=backend)
             assert report.all_identical, backend
+
+    @pytest.mark.parametrize("backend", ("interp", "codegn"))
+    def test_unknown_backend_is_rejected(self, bundles, backend):
+        bundle = bundles["heat_mini"]
+        scalars = heat_mini_app().grid_scalars(6)
+        arrays = allocate_arrays(bundle.program, bundle.driver, scalars, seed=5)
+        with pytest.raises(HalideError, match="unknown loop-nest backend"):
+            substitution_hooks(bundle, backend=backend)
+        with pytest.raises(HalideError, match="unknown loop-nest backend"):
+            run_application(bundle, scalars, arrays, backend=backend)
+        with pytest.raises(HalideError, match="unknown loop-nest backend"):
+            differential_check(bundle, grids=(6,), backend=backend)
+        with pytest.raises(ValueError, match="unknown measure_backend"):
+            PipelineOptions(measure_backend=backend)
 
     def test_degenerate_grid_is_identical(self, bundles):
         # n=1: the stencil interiors are empty, only fallback loops run.

@@ -8,8 +8,8 @@ executors and enforces each side of that contract:
 
 * ``legal ⇒ bit-identical``: every certified schedule's lowered nest
   must produce ``tobytes``-equal output against the schedule-blind
-  reference on every backend — interpreter, generated Python, and (with
-  a toolchain) native at 1 and 4 worker threads.  A single byte of
+  reference on every backend — generated Python and (with a toolchain)
+  native at 1 and 4 worker threads.  A single byte of
   drift on a certified schedule would be a soundness bug in the
   checker, not a flaky test.
 * ``not legal ⇒ not lowerable``: :func:`repro.halide.lower.lower`
@@ -35,7 +35,6 @@ from repro.halide import (
     Schedule,
     Var,
     compile_loop_nest,
-    execute_loop_nest,
     lower,
     realize,
 )
@@ -111,8 +110,6 @@ def test_legal_schedules_are_bit_identical(schedule: Schedule):
         return
     nest = lower(func, schedule)
     reference = realize(func, DOMAIN, inputs, origins)
-    out = execute_loop_nest(nest, DOMAIN, inputs, origins)
-    assert out.tobytes() == reference.tobytes(), schedule.describe()
     compiled = compile_loop_nest(nest)(DOMAIN, inputs, origins)
     assert compiled.tobytes() == reference.tobytes(), schedule.describe()
     if find_toolchain() is not None:

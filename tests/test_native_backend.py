@@ -1,13 +1,13 @@
 """Tests for the native (compiled-C) execution backend.
 
-Covers: bit-identity of the native backend against *both* Python
-backends (the tiled-NumPy interpreter and the generated-Python codegen
-backend) over a ≥100-random-schedule sweep of the DSL stencils plus a
-Table-1 suite cross-section, strict-bounds parity, the
-content-addressed compiled-artifact cache (cold compiles, warm runs
-load with zero compiler invocations), toolchain resolution, and the
-graceful fallback to the generated-Python backend when native
-compilation is impossible.
+Covers: bit-identity of the native backend against the generated-Python
+codegen backend and the schedule-blind reference over a
+≥100-random-schedule sweep of the DSL stencils plus a Table-1 suite
+cross-section, strict-bounds parity, the content-addressed
+compiled-artifact cache (cold compiles, warm runs load with zero
+compiler invocations), toolchain resolution, the ``build_runner``
+factory, and the graceful fallback to the generated-Python backend when
+native compilation is impossible.
 
 Everything that needs a C compiler is skip-marked; the fallback tests
 run everywhere.
@@ -29,8 +29,8 @@ from repro.halide import (
     Param,
     Schedule,
     Var,
+    build_runner,
     compile_loop_nest,
-    execute_loop_nest,
     lower,
     realize,
     realize_scheduled,
@@ -133,7 +133,7 @@ def _inputs_for(func, domain, seed, margin=2):
 
 @needs_cc
 class TestNativeBitIdentity:
-    """Native output must equal both Python backends bit-for-bit."""
+    """Native output must equal codegen and the reference bit-for-bit."""
 
     SCHEDULES_PER_FUNC = 30  # 4 funcs × 30 = 120 random schedules
 
@@ -147,12 +147,10 @@ class TestNativeBitIdentity:
             space = ScheduleSpace(func.dimensions)
             for schedule in space.sample_schedules(self.SCHEDULES_PER_FUNC, seed=23):
                 nest = lower(func, schedule)
-                interp = execute_loop_nest(nest, domain, inputs, origins, params)
                 codegen = compile_loop_nest(nest)(domain, inputs, origins, params)
                 native = compile_nest_native(nest)(domain, inputs, origins, params)
                 label = f"{name} [{schedule.describe()}]"
                 assert native.tobytes() == reference.tobytes(), label
-                assert native.tobytes() == interp.tobytes(), label
                 assert native.tobytes() == codegen.tobytes(), label
                 total += 1
         assert total >= 100
@@ -324,6 +322,7 @@ class TestFallback:
             f, domain, inputs, origins, backend="native", schedule=Schedule()
         )
         assert out.tobytes() == reference.tobytes()
+        assert build_runner(lower(f, Schedule()), "native")[1] == "codegen"
 
     def test_supported_fragment_includes_sqrt_abs_min_max(self):
         from repro.halide.lang import Call
@@ -351,7 +350,7 @@ class TestFallback:
         monkeypatch.setattr(toolchain_mod, "find_toolchain", lambda: None)
         assert resolve_backend("auto") == "codegen"
         assert resolve_backend("codegen") == "codegen"
-        assert resolve_backend("interp") == "interp"
+        assert resolve_backend("native") == "native"
 
     def test_no_toolchain_compile_raises_and_objective_falls_back(self, monkeypatch):
         import repro.native.dispatch as dispatch_mod
@@ -370,6 +369,79 @@ class TestFallback:
         assert cost > 0 and objective.all_verified
         assert objective.effective_backend == "codegen"
 
+    def test_realize_scheduled_native_without_toolchain_falls_back(self, monkeypatch):
+        import repro.native.dispatch as dispatch_mod
+
+        monkeypatch.setattr(dispatch_mod, "find_toolchain", lambda: None)
+        func = _weighted2d()
+        domain = DOMAINS["weighted2d"]
+        inputs, origins, params = _inputs_for(func, domain, seed=8)
+        reference = realize(func, domain, inputs, origins, params)
+        out = realize_scheduled(
+            func, domain, inputs, origins, params,
+            schedule=Schedule(tile_sizes=(4, 4), vector_width=2),
+            backend="native",
+        )
+        assert out.tobytes() == reference.tobytes()
+
+
+# Loop-nest backends that no longer exist, or never did: every entry point
+# must refuse them rather than run something else under their name.
+UNKNOWN_BACKENDS = ("interp", "codegn")
+
+
+class TestBuildRunner:
+    """The one factory that picks a loop-nest backend and its fallback."""
+
+    def _blur(self):
+        func = _blur1d()
+        domain = DOMAINS["blur1d"]
+        inputs, origins, _params = _inputs_for(func, domain, seed=12)
+        return func, domain, inputs, origins, realize(func, domain, inputs, origins)
+
+    def test_codegen(self):
+        func, domain, inputs, origins, reference = self._blur()
+        runner, used = build_runner(lower(func, Schedule(vector_width=4)), "codegen")
+        assert used == "codegen"
+        assert runner(domain, inputs, origins).tobytes() == reference.tobytes()
+
+    @needs_cc
+    def test_native_with_compiler(self):
+        from repro.native import NativeRunner
+
+        func, domain, inputs, origins, reference = self._blur()
+        runner, used = build_runner(lower(func, Schedule(vector_width=4)), "native")
+        assert used == "native" and isinstance(runner, NativeRunner)
+        assert runner(domain, inputs, origins).tobytes() == reference.tobytes()
+
+    def test_no_toolchain_runs_on_codegen(self, monkeypatch):
+        import repro.native.dispatch as dispatch_mod
+
+        monkeypatch.setattr(dispatch_mod, "find_toolchain", lambda: None)
+        func, domain, inputs, origins, reference = self._blur()
+        runner, used = build_runner(lower(func, Schedule()), "native", strict_bounds=True)
+        assert used == "codegen"
+        assert runner(domain, inputs, origins).tobytes() == reference.tobytes()
+
+    def test_auto_resolves_like_resolve_backend(self, monkeypatch):
+        import repro.native.toolchain as toolchain_mod
+
+        func = _blur1d()
+        assert build_runner(lower(func, Schedule()), "auto")[1] == resolve_backend("auto")
+        monkeypatch.setattr(toolchain_mod, "find_toolchain", lambda: None)
+        assert build_runner(lower(func, Schedule()), "auto")[1] == "codegen"
+
+    @pytest.mark.parametrize("backend", UNKNOWN_BACKENDS)
+    def test_unknown_backend_is_rejected(self, backend):
+        func, domain, inputs, origins, _reference = self._blur()
+        with pytest.raises(HalideError, match="unknown loop-nest backend"):
+            build_runner(lower(func, Schedule()), backend)
+        with pytest.raises(HalideError, match="unknown loop-nest backend"):
+            realize_scheduled(func, domain, inputs, origins, backend=backend)
+        objective = MeasuredObjective(func, domain, inputs, origins, backend=backend)
+        with pytest.raises(HalideError, match="unknown loop-nest backend"):
+            objective.measure(Schedule.default())
+
 
 @needs_cc
 class TestThreadedExecution:
@@ -378,8 +450,8 @@ class TestThreadedExecution:
     The threaded emission partitions the outermost parallel chunk band
     into disjoint, step-aligned output slabs (the exact ``chunk_ranges``
     partition the serial band iterates), so for every thread count the
-    bytes must equal the serial native run, both Python backends and
-    the schedule-blind reference.
+    bytes must equal the serial native run, the generated-Python backend
+    and the schedule-blind reference.
     """
 
     THREAD_COUNTS = (2, 4, 8)
@@ -400,7 +472,6 @@ class TestThreadedExecution:
             )
             for schedule in schedules:
                 nest = lower(func, schedule)
-                interp = execute_loop_nest(nest, domain, inputs, origins, params)
                 codegen = compile_loop_nest(nest)(domain, inputs, origins, params)
                 serial = compile_nest_native(nest, threads=1)(
                     domain, inputs, origins, params
@@ -412,7 +483,6 @@ class TestThreadedExecution:
                     )
                     label = f"{name} [{schedule.describe()}] threads={threads}"
                     assert out.tobytes() == serial.tobytes(), label
-                    assert out.tobytes() == interp.tobytes(), label
                     assert out.tobytes() == codegen.tobytes(), label
                     checked += 1
         assert checked >= 100

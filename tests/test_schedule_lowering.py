@@ -1,9 +1,10 @@
 """Tests for the schedule-aware execution layer.
 
-Covers: the loop-nest IR and lowering pass, bit-identity of both
-execution backends against the schedule-blind reference ``realize``
+Covers: the loop-nest IR and lowering pass, bit-identity of the
+generated-Python backend against the schedule-blind reference ``realize``
 (property-based over random schedules, plus a ≥200-schedule sweep over
-lifted Table-1 suite stencils), Fortran truncation semantics for
+lifted Table-1 suite stencils; tests/test_native_backend.py sweeps the
+native backend), Fortran truncation semantics for
 integer index arithmetic, strict-bounds loads, schedule validation,
 multi-stage pipelines with inlining, and measured autotuning with
 differential checking.
@@ -33,7 +34,6 @@ from repro.halide import (
     ScheduleError,
     Var,
     compile_loop_nest,
-    execute_loop_nest,
     lower,
     realize,
     realize_scheduled,
@@ -47,7 +47,7 @@ from repro.suites.base import pair_1d_2d, stencil_fortran
 from repro.suites.registry import suite_names, cases_for_suite
 from repro.synthesis import synthesize_kernel
 
-BACKENDS = ("interp", "codegen")
+BACKENDS = ("codegen",)
 
 
 def kernel_from_source(source: str):
@@ -381,7 +381,7 @@ class TestMultiStage:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity of both backends against the schedule-blind reference
+# Bit-identity of the generated-Python backend against the reference
 # ---------------------------------------------------------------------------
 
 def _schedules(dims):
@@ -451,8 +451,8 @@ def lifted_suite_stencils():
 
 class TestSuiteKernelScheduleSweep:
     """Acceptance: every Table-1 suite kernel's generated stencil executes
-    bit-identically to the schedule-blind reference on both backends, for
-    ≥200 random schedules overall."""
+    bit-identically to the schedule-blind reference on the generated-Python
+    backend, for ≥200 random schedules overall."""
 
     SCHEDULES_PER_KERNEL = 42
     SWEEP_POINTS = {1: 24, 2: 144, 3: 512, 4: 1296}
@@ -523,10 +523,10 @@ class TestMeasuredAutotune:
                 func, domain, inputs, origins, params,
                 repeats=1, warmup=warmup, differential=True,
             )
-            real_runner_factory = objective._runner
+            real_build = objective._build
 
-            def slow_first_runner(schedule):
-                real = real_runner_factory(schedule)
+            def slow_first_build(schedule):
+                real, backend_used = real_build(schedule)
                 state = {"first": True}
 
                 def run():
@@ -535,9 +535,9 @@ class TestMeasuredAutotune:
                         time_mod.sleep(0.05)  # the one-time first-call cost
                     return real()
 
-                return run
+                return run, backend_used
 
-            objective._runner = slow_first_runner
+            objective._build = slow_first_build
             return objective
 
         biased = make_objective(warmup=0).measure(Schedule.default())
@@ -545,14 +545,6 @@ class TestMeasuredAutotune:
         steady = make_objective(warmup=1).measure(Schedule.default())
         assert steady.seconds < 0.05  # warm-up run absorbed it
         assert steady.verified
-
-    def test_measured_objective_interp_backend(self):
-        func = _blur1d()
-        domain = [(0, 40)]
-        inputs, origins, params = _inputs_for(func, domain, seed=2)
-        objective = MeasuredObjective(func, domain, inputs, origins, params, backend="interp")
-        cost = objective(Schedule(vector_width=4))
-        assert cost > 0 and objective.all_verified
 
     def test_modeled_objective_wraps_perfmodel(self):
         func = _cross2d()
