@@ -122,6 +122,22 @@ class VCClause:
         premises = " and ".join(a.describe() for a in self.assumptions) or "true"
         return f"{self.name}: {premises} -> {self.target.describe()}"
 
+    def candidate_formulas(self, candidate: CandidateSummary):
+        """The formulas of ``candidate`` that checking or proving the clause reads.
+
+        ``(((loop_id, invariant), ...), target)``: one pair per ``inv``
+        premise, in premise order, then the target formula.  A missing
+        invariant reads as ``None``.
+        """
+        premises = tuple(
+            (a.loop_id, candidate.invariants.get(a.loop_id or ""))
+            for a in self.assumptions
+            if a.kind == "inv"
+        )
+        if self.target.kind == "post":
+            return premises, candidate.post
+        return premises, candidate.invariants.get(self.target.loop_id or "")
+
     # -- evaluation ---------------------------------------------------------
     def holds(self, state: State, candidate: CandidateSummary) -> bool:
         """Check the clause on one concrete state.

@@ -36,7 +36,6 @@ from repro.verification.inductive import (
     InductiveProver,
     ProofCertificate,
     Verdict,
-    verify_with_proof,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "InductiveProver",
     "ProofCertificate",
     "Verdict",
-    "verify_with_proof",
 ]

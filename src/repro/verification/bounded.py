@@ -137,6 +137,16 @@ class _ReachableStateCollector:
         execute_statement(stmt, state)
 
 
+# Grid-size range of the sampled integer environments, and the counter
+# combinations the bounded check visits per environment before sampling.
+ENV_HIGH = 4
+MAX_COUNTER_COMBOS = 600
+
+# A verifier's memo tables are cleared at the start of a ``verify`` call
+# once any of them holds more entries than this.
+_MEMO_MAX = 1 << 14
+
+
 class BoundedVerifier:
     """The checking hierarchy: random concrete search plus bounded symbolic proof.
 
@@ -146,6 +156,9 @@ class BoundedVerifier:
     and the checks run through the compiled forms; when disabled
     everything goes through the original tree-walking interpreters.
     The two are bit-identical by construction.
+
+    One verifier serves every candidate of one kernel, and ``verify``
+    memoises the work candidates share (see :meth:`verify`).
     """
 
     def __init__(
@@ -153,8 +166,6 @@ class BoundedVerifier:
         vc: VCProblem,
         environments: Optional[List[Dict[str, int]]] = None,
         num_environments: int = 2,
-        env_high: int = 4,
-        max_counter_combos: int = 600,
         seed: int = 0,
         compile_options=None,
     ):
@@ -173,17 +184,29 @@ class BoundedVerifier:
         # of counter combinations; scale the sampling budget down so the
         # per-kernel verification cost stays roughly constant.
         depth_penalty = 4 ** max(0, len(vc.loops) - 3)
-        self.max_counter_combos = max(60, max_counter_combos // depth_penalty)
+        self.max_counter_combos = max(60, MAX_COUNTER_COMBOS // depth_penalty)
         if environments is None:
             try:
                 environments = choose_integer_environments(
-                    self.kernel, count=num_environments, seed=seed, high=env_high
+                    self.kernel, count=num_environments, seed=seed, high=ENV_HIGH
                 )
             except SymbolicExecutionError:
                 environments = choose_integer_environments(
-                    self.kernel, count=1, seed=seed, high=env_high + 2
+                    self.kernel, count=1, seed=seed, high=ENV_HIGH + 2
                 )
         self.environments = environments
+        # Per environment index, its (sampled) counter combinations.
+        self._combos: Dict[int, List[Dict[str, int]]] = {}
+        # Memo tables of ``verify``, cleared together because the other two
+        # key by the small ids of the first.  Formula shape -> (formula,
+        # small id); the stored formula keeps the ids inside the shape valid.
+        self._formula_ids: Dict[tuple, Tuple[object, int]] = {}
+        # (env index, combination index, ((loop_id, formula id), ...)) ->
+        # premise state with those invariants instantiated, or None.
+        self._states: Dict[tuple, Optional[State]] = {}
+        # (env index, combination index, clause key) -> the
+        # (states_checked, non_vacuous_checks) increments of a passing check.
+        self._passed: Dict[tuple, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Tier 1: random concrete counterexample search
@@ -216,25 +239,42 @@ class BoundedVerifier:
     # ------------------------------------------------------------------
     # Tier 2: bounded symbolic verification
     # ------------------------------------------------------------------
-    def verify(self, candidate: CandidateSummary, thorough: bool = True) -> VerificationResult:
-        """Check every clause on every premise-canonical symbolic state."""
+    def verify(self, candidate: CandidateSummary) -> VerificationResult:
+        """Check every clause on every premise-canonical symbolic state.
+
+        Candidates of one kernel share most of their invariants, so work
+        is memoised across calls.  A premise state is keyed by the
+        invariants instantiated into it; it is shared read-only, and a
+        failing check hands out a copy as its counterexample.  A passing
+        check is keyed by everything it reads (the premise state, the
+        clause, the target formula and ``strided_exact``) and replays
+        its counter increments on a hit.  A failing check is never
+        stored, so a refutation is always found by a real evaluation.
+        """
+        tables = (self._formula_ids, self._states, self._passed)
+        if any(len(table) > _MEMO_MAX for table in tables):
+            for table in tables:
+                table.clear()
+        compiled = self._compiled_vc is not None
+        clauses = self._compiled_vc.clauses if compiled else self.vc.clauses
+        keys = self._clause_keys(candidate)
         states_checked = 0
         non_vacuous = 0
-        environments = self.environments if thorough else self.environments[:1]
-        clauses = (
-            self._compiled_vc.clauses if self._compiled_vc is not None else self.vc.clauses
-        )
-        for env in environments:
-            combos = list(self._counter_combinations(env))
-            if len(combos) > self.max_counter_combos:
-                rng = random.Random(self.seed + 99)
-                combos = rng.sample(combos, self.max_counter_combos)
-            for counters in combos:
-                for clause in clauses:
-                    compiled = self._compiled_vc is not None
+        for env_index in range(len(self.environments)):
+            for combo_index in range(len(self._combinations(env_index))):
+                for clause, clause_key in zip(clauses, keys):
+                    key = (env_index, combo_index, clause_key)
+                    passed = self._passed.get(key)
+                    if passed is not None:
+                        states_checked += passed[0]
+                        non_vacuous += passed[1]
+                        continue
                     source_clause = clause.clause if compiled else clause
-                    state = self._premise_state(source_clause, candidate, env, counters)
+                    state = self._premise_state(
+                        source_clause, candidate, env_index, combo_index, clause_key[1]
+                    )
                     if state is None:
+                        self._passed[key] = (0, 0)
                         continue
                     states_checked += 1
                     try:
@@ -249,25 +289,27 @@ class BoundedVerifier:
                                 state, candidate
                             )
                         else:
-                            if clause._premises_hold(state, candidate):
+                            premised = clause._premises_hold(state, candidate)
+                            if premised:
                                 non_vacuous += 1
                             ok = clause.holds(state, candidate)
-                        if not ok:
-                            return VerificationResult(
-                                ok=False,
-                                failed_clause=clause.name,
-                                counterexample=state,
-                                states_checked=states_checked,
-                                non_vacuous_checks=non_vacuous,
-                            )
                     except (PredicateEvalError, ExecutionError, EvalError, TypeError) as exc:
                         return VerificationResult(
                             ok=False,
                             failed_clause=f"{clause.name} (evaluation error: {exc})",
-                            counterexample=state,
+                            counterexample=state.copy(),
                             states_checked=states_checked,
                             non_vacuous_checks=non_vacuous,
                         )
+                    if not ok:
+                        return VerificationResult(
+                            ok=False,
+                            failed_clause=clause.name,
+                            counterexample=state.copy(),
+                            states_checked=states_checked,
+                            non_vacuous_checks=non_vacuous,
+                        )
+                    self._passed[key] = (1, 1 if premised else 0)
         return VerificationResult(
             ok=True,
             states_checked=states_checked,
@@ -309,28 +351,67 @@ class BoundedVerifier:
 
         yield from rec(0, {})
 
+    def _combinations(self, env_index: int) -> List[Dict[str, int]]:
+        """The counter combinations ``verify`` visits in one environment.
+
+        Computed once per environment: the sample is seeded, so every
+        call would draw the same one.
+        """
+        combos = self._combos.get(env_index)
+        if combos is None:
+            combos = list(self._counter_combinations(self.environments[env_index]))
+            if len(combos) > self.max_counter_combos:
+                rng = random.Random(self.seed + 99)
+                combos = rng.sample(combos, self.max_counter_combos)
+            self._combos[env_index] = combos
+        return combos
+
+    def _formula_id(self, formula) -> int:
+        """Small id of a formula's shape, for the memo keys of ``verify``."""
+        from repro.compile.predcomp import _shape
+
+        shape = _shape(formula)
+        entry = self._formula_ids.get(shape)
+        if entry is None:
+            entry = (formula, len(self._formula_ids))
+            self._formula_ids[shape] = entry
+        return entry[1]
+
+    def _clause_keys(self, candidate: CandidateSummary) -> List[tuple]:
+        """Per clause, the key of what its check reads of ``candidate``.
+
+        A clause key is ``(clause index, premises, target id,
+        strided_exact)``, where ``premises`` holds a ``(loop_id,
+        invariant id)`` pair per ``inv`` premise, in premise order.
+        """
+        keys = []
+        for index, clause in enumerate(self.vc.clauses):
+            premises, target = clause.candidate_formulas(candidate)
+            premise_ids = tuple((loop_id, self._formula_id(inv)) for loop_id, inv in premises)
+            keys.append(
+                (index, premise_ids, self._formula_id(target), candidate.strided_exact)
+            )
+        return keys
+
     def _premise_state(
         self,
         clause: VCClause,
         candidate: CandidateSummary,
-        env: Dict[str, int],
-        counters: Dict[str, int],
+        env_index: int,
+        combo_index: int,
+        premises: Tuple[Tuple[Optional[str], int], ...],
     ) -> Optional[State]:
         """The most general symbolic state satisfying the clause's premises.
 
         Returns ``None`` when the premises are unsatisfiable for this
         counter assignment (the clause holds vacuously there) or when a
-        satisfying state cannot be constructed.
+        satisfying state cannot be constructed.  ``premises`` are the
+        clause's ``inv`` premises as keyed by :meth:`_clause_keys`; the
+        state after each instantiation is memoised, so the returned
+        state is shared and must not be mutated.
         """
-        state = State()
-        state.scalars.update(env)
-        state.scalars.update(counters)
-        for decl in self.kernel.scalars:
-            if decl.name not in state.scalars:
-                state.scalars[decl.name] = sym(decl.name)
-        for decl in self.kernel.arrays:
-            state.arrays[decl.name] = fresh_symbolic_array(decl.name)
-
+        state = self._initial_state(env_index, combo_index)
+        applied = 0
         for assumption in clause.assumptions:
             if assumption.kind == "pre":
                 # Assumptions and non-degenerate bounds are properties of the
@@ -354,8 +435,33 @@ class BoundedVerifier:
                 invariant = candidate.invariants.get(assumption.loop_id or "")
                 if invariant is None:
                     return None
-                if not self._instantiate_invariant(invariant, state):
+                applied += 1
+                key = (env_index, combo_index, premises[:applied])
+                if key in self._states:
+                    state = self._states[key]
+                else:
+                    state = state.copy()
+                    if not self._instantiate_invariant(invariant, state):
+                        state = None
+                    self._states[key] = state
+                if state is None:
                     return None
+        return state
+
+    def _initial_state(self, env_index: int, combo_index: int) -> State:
+        """Environment, counters, and everything else symbolic (memoised)."""
+        key = (env_index, combo_index, ())
+        state = self._states.get(key)
+        if state is None:
+            state = State()
+            state.scalars.update(self.environments[env_index])
+            state.scalars.update(self._combinations(env_index)[combo_index])
+            for decl in self.kernel.scalars:
+                if decl.name not in state.scalars:
+                    state.scalars[decl.name] = sym(decl.name)
+            for decl in self.kernel.arrays:
+                state.arrays[decl.name] = fresh_symbolic_array(decl.name)
+            self._states[key] = state
         return state
 
     def _eval_loop_upper(self, loop: ir.Loop, state: State):

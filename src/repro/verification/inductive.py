@@ -42,7 +42,7 @@ answer is a real proof; anything it cannot establish within its budget
 degrades to ``bounded_only``, meaning the summary is exactly as
 trustworthy as it was before this tier existed.  ``Refuted`` verdicts
 come from the bounded tier below (which produces concrete
-counterexamples); see :func:`verify_with_proof`.
+counterexamples).
 """
 
 from __future__ import annotations
@@ -992,18 +992,29 @@ def substitute_many(expr: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+# Clause proofs one prover keeps (see ``InductiveProver._prove_clause``).
+_PROOF_MEMO_MAX = 1 << 14
+
+
 class InductiveProver:
     """Tier 3: discharge a candidate's VC for all array sizes.
 
     ``max_ops`` bounds the FM/decision work per clause and ``max_depth``
     the case-split nesting; exhausting either degrades the clause to
     ``bounded_only``, never to a wrong answer.
+
+    One prover serves every candidate of one kernel, and clause proofs
+    are memoised across them (see :meth:`_prove_clause`).
     """
 
     def __init__(self, vc: VCProblem, max_ops: int = 200_000, max_depth: int = 12):
         self.vc = vc
         self.max_ops = max_ops
         self.max_depth = max_depth
+        # Clause key -> (formulas, ops, proof) of a search that finished;
+        # (clause key, budget) -> the same for one that exhausted it.
+        # The stored formulas keep the ids inside the key valid.
+        self._proofs: Dict[tuple, Tuple[tuple, int, ClauseProof]] = {}
 
     def prove(
         self,
@@ -1025,18 +1036,45 @@ class InductiveProver:
         proofs: List[ClauseProof] = []
         subgoals = 0
         failed = False
-        for clause in self.vc.clauses:
+        for index, clause in enumerate(self.vc.clauses):
             if (failed and fail_fast) or (only is not None and not only(clause)):
                 proofs.append(ClauseProof(clause.name, "skipped"))
                 continue
-            prover = _ClauseProver(self.vc, clause, candidate, budget, self.max_depth)
-            proof = prover.run()
+            proof, ops = self._prove_clause(index, clause, candidate, budget)
             proofs.append(proof)
-            subgoals += prover.ops
+            subgoals += ops
             if not proof.proved:
                 failed = True
         verdict = Verdict.BOUNDED_ONLY if failed else Verdict.PROVED
         return InductiveOutcome(verdict=verdict, clauses=tuple(proofs), subgoals=subgoals)
+
+    def _prove_clause(
+        self, index: int, clause: VCClause, candidate: CandidateSummary, budget: int
+    ) -> Tuple[ClauseProof, int]:
+        """One clause's ``(proof, ops)``, memoised across candidates.
+
+        A clause proof reads only ``clause.candidate_formulas`` of the
+        candidate, so their shapes key it.  The search is deterministic
+        and the budget only cuts it short: a search that finished within
+        ``ops`` answers every budget of at least ``ops``, one that
+        exhausted its budget only that budget.
+        """
+        from repro.compile.predcomp import _shape
+
+        formulas = clause.candidate_formulas(candidate)
+        key = (index, _shape(formulas))
+        hit = self._proofs.get(key)
+        if hit is not None and hit[1] <= budget:
+            return hit[2], hit[1]
+        hit = self._proofs.get((key, budget))
+        if hit is not None:
+            return hit[2], hit[1]
+        prover = _ClauseProver(self.vc, clause, candidate, budget, self.max_depth)
+        proof = prover.run()
+        if len(self._proofs) < _PROOF_MEMO_MAX:
+            finished = proof.reason != REASON_BUDGET
+            self._proofs[key if finished else (key, budget)] = (formulas, prover.ops, proof)
+        return proof, prover.ops
 
     def proves_postcondition(self, candidate: CandidateSummary) -> bool:
         """Cheap pre-filter: do the postcondition clauses alone prove?
@@ -1059,22 +1097,6 @@ class InductiveProver:
         if outcome.proved:
             return True
         return any(c.reason == REASON_BUDGET for c in outcome.clauses)
-
-
-def verify_with_proof(verifier, prover: Optional[InductiveProver], candidate: CandidateSummary):
-    """The full three-tier verdict for one candidate.
-
-    Runs the bounded tiers first (they produce concrete counterexamples)
-    and the inductive prover on success.  Returns ``(verdict, bounded
-    result, outcome-or-None)``.
-    """
-    bounded = verifier.verify(candidate)
-    if not bounded.ok:
-        return Verdict.REFUTED, bounded, None
-    if prover is None:
-        return Verdict.BOUNDED_ONLY, bounded, None
-    outcome = prover.prove(candidate)
-    return outcome.verdict, bounded, outcome
 
 
 # ---------------------------------------------------------------------------

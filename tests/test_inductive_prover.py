@@ -39,7 +39,6 @@ from repro.verification.inductive import (
     certificate_to_json,
     make_certificate,
     revalidate_certificate,
-    verify_with_proof,
 )
 
 TWO_POINT = """
@@ -197,14 +196,11 @@ class TestProofRules:
         outcome = prover.prove(wrong)
         assert outcome.verdict is not Verdict.PROVED
 
-    def test_verify_with_proof_three_tier_verdicts(self, two_point_setup):
+    def test_bounded_and_inductive_tiers_accept_the_synthesized_summary(self, two_point_setup):
         kernel, vc, result = two_point_setup
-        verifier = BoundedVerifier(vc, num_environments=1, seed=1)
-        prover = InductiveProver(vc)
-        verdict, bounded, outcome = verify_with_proof(verifier, prover, result.candidate)
-        assert verdict is Verdict.PROVED and bounded.ok and outcome.proved
-        verdict_np, bounded_np, outcome_np = verify_with_proof(verifier, None, result.candidate)
-        assert verdict_np is Verdict.BOUNDED_ONLY and outcome_np is None
+        bounded = BoundedVerifier(vc, num_environments=1, seed=1).verify(result.candidate)
+        outcome = InductiveProver(vc).prove(result.candidate)
+        assert bounded.ok and outcome.verdict is Verdict.PROVED
 
 
 # ---------------------------------------------------------------------------
