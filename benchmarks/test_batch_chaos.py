@@ -31,7 +31,7 @@ OPTIONS = PipelineOptions(autotune_budget=80, verifier_environments=1)
 
 def test_batch_survives_chaos(benchmark, capsys, tmp_path, monkeypatch):
     cases = cases_for_suite("StencilMark")
-    cache_path = tmp_path / "chaos-cache.json"
+    cache_path = tmp_path / "chaos-cache"
 
     # Prime the cache so both runs are warm: the comparison then
     # isolates scheduling/fault overhead from synthesis time.

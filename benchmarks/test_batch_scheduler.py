@@ -34,7 +34,7 @@ def _timed_run(selected_cases, pool_size: int, cache_path) -> "tuple[BatchResult
 
 def test_batch_scheduler_cold_vs_warm(lifted_reports, selected_cases, benchmark, capsys, tmp_path):
     pool_n = os.cpu_count() or 1
-    cache_path = tmp_path / "batch-cache.json"
+    cache_path = tmp_path / "batch-cache"
 
     cold_result, cold_seconds = _timed_run(selected_cases, pool_n, cache_path)
 

@@ -79,10 +79,11 @@ def main() -> None:
 
     # 2. Verified lifting: inductive template generation + CEGIS + verification.
     #    The content-addressed cache persists the verified summary, so a
-    #    second lookup — here, or from a store file in a later process —
-    #    skips synthesis entirely.  A fresh per-run directory keeps the
-    #    cold measurement honest (and avoids clashes on shared machines).
-    cache_path = Path(tempfile.mkdtemp(prefix="stng-quickstart-")) / "cache.json"
+    #    second lookup — here, or from the store directory in a later
+    #    process — skips synthesis entirely.  A fresh per-run directory
+    #    keeps the cold measurement honest (and avoids clashes on shared
+    #    machines).
+    cache_path = Path(tempfile.mkdtemp(prefix="stng-quickstart-")) / "cache"
     cache = SynthesisCache(cache_path)
     start = time.perf_counter()
     result = synthesize_kernel(kernel, seed=1, cache=cache, inductive=True)

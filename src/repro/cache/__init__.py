@@ -15,8 +15,9 @@ verification — keyed by a *content address*:
   set or verifier change semantics.
 
 Verified :class:`~repro.synthesis.cegis.CEGISResult` summaries (and
-definitive failures) are persisted to a JSON store
-(:mod:`repro.cache.store`) so warm runs skip synthesis entirely.
+definitive failures) are persisted to a directory of sharded append
+logs (:mod:`repro.cache.store`, :mod:`repro.cache.shards`) so warm
+runs skip synthesis entirely.
 """
 
 from repro.cache.artifacts import ArtifactStore, artifact_key
@@ -44,7 +45,6 @@ from repro.cache.schedules import (
 from repro.cache.shards import (
     SHARD_FORMAT,
     ShardedStore,
-    read_legacy_store,
     shard_path,
     shard_prefix,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "ShardedStore",
     "StaleVersionWarning",
     "SynthesisCache",
-    "read_legacy_store",
     "shard_path",
     "shard_prefix",
     "artifact_key",

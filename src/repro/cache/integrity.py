@@ -1,14 +1,16 @@
 """Corruption handling shared by the cache stores: quarantine, never destroy.
 
 A torn write (power loss mid-``write``, a full disk, an injected fault)
-leaves a store file that no longer decodes, or a compiled artifact whose
-bytes no longer match their recorded digest.  The old behaviour —
-silently treating the file as empty — meant the very next save
-*overwrote the evidence*, making corruption bugs unreproducible.  Both
-stores now route through :func:`quarantine_file`: the damaged file is
-renamed aside as ``<path>.corrupt-<n>`` (first free ``n``) and a
+leaves a record that no longer decodes, or a compiled artifact whose
+bytes no longer match their recorded digest.  Silently treating the
+file as empty would let the very next write *overwrite the evidence*,
+making corruption bugs unreproducible.  The artifact and schedule
+stores therefore route through :func:`quarantine_file`: the damaged
+file is renamed aside as ``<path>.corrupt-<n>`` (first free ``n``) and a
 :class:`CacheIntegrityWarning` is emitted, so the run still degrades
-gracefully but the forensic trail survives.
+gracefully but the forensic trail survives.  The synthesis store's
+shard logs skip a damaged line with the same warning and keep it on
+disk until compaction (:mod:`repro.cache.shards`).
 """
 
 from __future__ import annotations

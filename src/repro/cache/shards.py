@@ -1,16 +1,15 @@
 """Sharded, append-compacted persistence for the synthesis store.
 
-The legacy synthesis store is one JSON file rewritten whole on every
-save under a single lock — correct, but every writer serializes on one
-file and every save pays O(store).  This module is the many-writer
-replacement: entries are distributed over per-shard **append logs** by
-fingerprint prefix, so concurrent writers touching different shards
-never contend, a save appends only the entries recorded since the last
-save, and a torn write can damage at most the final line of one shard.
+This module owns the on-disk format of
+:class:`~repro.cache.store.SynthesisCache`.  Entries are distributed
+over per-shard **append logs** by fingerprint prefix, so concurrent
+writers touching different shards never contend, a save appends only
+the entries recorded since the last save, and a torn write can damage
+at most the final line of one shard.
 
 Layout: a directory of ``shard-<p>.jsonl`` files, ``p`` the
 :func:`shard_prefix` of the entry fingerprint (one lowercase hex/alnum
-character by default, sixteen-ish shards).  Each line is one record::
+character, sixteen-ish shards).  Each line is one record::
 
     {"fp": "<fingerprint>", "version": "<code version>", "entry": {...}}
 
@@ -35,16 +34,10 @@ per-shard lock.  :meth:`ShardedStore.compact` forces a full sweep.
 Version skew: records carry the code version they were written with;
 loads discard other-version records with a
 :class:`~repro.cache.integrity.StaleVersionWarning` naming the count —
-explicit invalidation, exactly like the legacy store, but per record
-instead of per file.
+explicit invalidation, per record.
 
-Migration: pointing a :class:`ShardedStore` at a path holding a
-*legacy single-JSON store file* imports every entry into shards —
-built in a private temp directory, then published with two renames so
-no reader ever observes a half-migrated store — and preserves the
-original byte-for-byte as ``<path>.migrated``.  Re-opening an
-already-migrated store is a no-op, and concurrent openers serialize on
-a migration lock, so migration is idempotent.
+The store path must be a directory (or not exist yet): a regular file
+there raises ``ValueError`` at construction and is left untouched.
 
 :func:`shard_prefix`/:func:`shard_path` are shared with the
 compiled-artifact and tuned-schedule stores, which bucket their
@@ -66,14 +59,10 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.cache.fingerprint import CODE_VERSION
-from repro.cache.integrity import (
-    CacheIntegrityWarning,
-    StaleVersionWarning,
-    quarantine_file,
-)
+from repro.cache.integrity import CacheIntegrityWarning, StaleVersionWarning
 from repro.cache.locks import FileLock, LockTimeout
 from repro.testing import faultinject
 
@@ -83,7 +72,8 @@ SHARD_FORMAT = "sharded-store-1"
 # file/directory names); anything else falls back to a digest prefix.
 _SAFE_PREFIX = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 
-_STATUS_VALUES = ("verified", "failure")
+# Prefix characters per shard log: 16 shards for hex fingerprints.
+_SHARD_WIDTH = 1
 
 
 def shard_prefix(key: str, width: int = 2) -> str:
@@ -105,63 +95,14 @@ def shard_path(root: "os.PathLike[str] | str", key: str, width: int = 2) -> Path
     return Path(root) / shard_prefix(key, width)
 
 
-def read_legacy_store(
-    path: "os.PathLike[str] | str",
-    code_version: str,
-    statuses: Sequence[str] = _STATUS_VALUES,
-) -> Dict[str, Dict[str, Any]]:
-    """Decode a legacy single-file JSON store.
-
-    Shared by the legacy :class:`~repro.cache.store.SynthesisCache`
-    backend and by :class:`ShardedStore` migration.  A missing or
-    unreadable file is an empty store; a corrupt file is quarantined
-    aside with a :class:`CacheIntegrityWarning`; a version-skewed file
-    discards every entry with a :class:`StaleVersionWarning` carrying
-    the discarded count (explicit invalidation, not corruption).
-    """
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError("store root is not an object")
-        entries = data.get("entries", {})
-        if not isinstance(entries, dict):
-            raise ValueError("store entries is not an object")
-        decoded = {
-            str(fp): entry
-            for fp, entry in entries.items()
-            if isinstance(entry, dict) and entry.get("status") in statuses
-        }
-        if data.get("version") != code_version:
-            if decoded:
-                warnings.warn(
-                    f"synthesis store {path.name} was written by code version "
-                    f"{data.get('version')!r}; discarding {len(decoded)} stale "
-                    f"entries (current version {code_version!r})",
-                    StaleVersionWarning,
-                    stacklevel=3,
-                )
-            return {}
-        return decoded
-    except OSError:
-        # Missing or unreadable file: plain cold start.
-        return {}
-    except ValueError as exc:  # covers JSONDecodeError
-        # Torn write or truncation: keep the evidence, degrade to cold.
-        quarantine_file(path, f"synthesis store corrupt ({exc})")
-        return {}
-
-
 class ShardedStore:
     """A directory of per-prefix append logs holding store entries.
 
     Parameters
     ----------
     root:
-        The store directory.  If a *file* exists at this path it is
-        treated as a legacy single-JSON store and migrated into shards
-        (original preserved as ``<root>.migrated``).
+        The store directory, created on the first append.  A regular
+        file at this path raises ``ValueError``.
     code_version:
         Stamped into every appended record; other-version records are
         discarded on load (with a :class:`StaleVersionWarning`) and
@@ -171,8 +112,6 @@ class ShardedStore:
         lock leaves those entries unpersisted (they are returned to the
         caller to retry on the next save) with a warning, never a torn
         file.
-    shard_width:
-        Prefix characters per shard (1 → 16 shards for hex keys).
     compact_min_records / compact_factor:
         Compaction triggers once a shard holds at least
         ``compact_min_records`` records *and* more than
@@ -185,24 +124,26 @@ class ShardedStore:
         root: "os.PathLike[str] | str",
         code_version: str = CODE_VERSION,
         lock_timeout: float = 10.0,
-        shard_width: int = 1,
         compact_min_records: int = 64,
         compact_factor: int = 4,
     ):
         self.root = Path(root)
+        if self.root.is_file():
+            raise ValueError(
+                f"synthesis store path {self.root} is a regular file, "
+                "not a directory of shard logs"
+            )
         self.code_version = code_version
         self.lock_timeout = lock_timeout
-        self.shard_width = shard_width
         self.compact_min_records = max(1, compact_min_records)
         self.compact_factor = max(1, compact_factor)
         self.compactions = 0
-        self._migrate_legacy_file()
 
     # ------------------------------------------------------------------
     # Shard naming
     # ------------------------------------------------------------------
     def shard_name(self, key: str) -> str:
-        return f"shard-{shard_prefix(key, self.shard_width)}.jsonl"
+        return f"shard-{shard_prefix(key, _SHARD_WIDTH)}.jsonl"
 
     def shard_file(self, key: str) -> Path:
         return self.root / self.shard_name(key)
@@ -417,71 +358,6 @@ class ShardedStore:
             finally:
                 lock.release()
         return {"shards": shards, "records_before": before, "records_after": after}
-
-    def clear(self) -> None:
-        """Remove every shard log (each under its lock)."""
-        for path in self.shard_files():
-            lock = self._shard_lock(path)
-            try:
-                lock.acquire()
-            except (LockTimeout, OSError):
-                continue
-            try:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            finally:
-                lock.release()
-
-    # ------------------------------------------------------------------
-    # Legacy migration
-    # ------------------------------------------------------------------
-    def _migrate_legacy_file(self) -> None:
-        """Import a legacy single-JSON store found at ``self.root``.
-
-        The shards are built in a private temp directory, then
-        published with two renames: the legacy file moves aside to
-        ``<root>.migrated`` (preserved byte-for-byte) and the temp
-        directory takes its place.  Concurrent openers serialize on a
-        migration lock and re-check, so exactly one migrates; opening
-        an already-migrated store is a no-op.
-        """
-        if not self.root.is_file():
-            return
-        lock = FileLock(
-            str(self.root) + ".migrate.lock", timeout=max(self.lock_timeout, 30.0)
-        )
-        lock.acquire()
-        try:
-            if not self.root.is_file():
-                return  # another opener migrated while we waited
-            entries = read_legacy_store(self.root, self.code_version)
-            tmp_dir = Path(
-                tempfile.mkdtemp(
-                    prefix=self.root.name + ".migrating-", dir=str(self.root.parent)
-                )
-            )
-            try:
-                groups: Dict[str, Dict[str, Dict[str, Any]]] = {}
-                for fingerprint, entry in entries.items():
-                    groups.setdefault(self.shard_name(fingerprint), {})[fingerprint] = entry
-                for name, group in groups.items():
-                    with open(tmp_dir / name, "w", encoding="utf-8") as handle:
-                        for fp in sorted(group):
-                            handle.write(self._encode_record(fp, group[fp]) + "\n")
-                os.replace(self.root, str(self.root) + ".migrated")
-                os.rename(tmp_dir, self.root)
-            except OSError:
-                try:
-                    for stray in tmp_dir.glob("*"):
-                        stray.unlink()
-                    tmp_dir.rmdir()
-                except OSError:
-                    pass
-                raise
-        finally:
-            lock.release()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -61,7 +61,7 @@ from repro.symbolic.expr import (
     sub as expr_sub,
 )
 
-from repro.synthesis.floatmodel import MODULUS as _MOD7_MODULUS, Mod7, _ELEMENTS, field_encode
+from repro.semantics.floatmodel import MODULUS as _MOD7_MODULUS, Mod7, _ELEMENTS, field_encode
 
 _MISS = object()
 

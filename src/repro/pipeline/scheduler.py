@@ -8,21 +8,16 @@ backed by the content-addressed synthesis cache (:mod:`repro.cache`),
 and aggregates the per-kernel :class:`~repro.pipeline.stng.KernelReport`
 objects deterministically regardless of completion order.
 
-Two levels of parallelism are provided:
-
-* **batch mode** (:meth:`BatchScheduler.lift_cases` and friends) — one
-  pool task per kernel case; each worker runs the full sequential
-  pipeline for its case, so results are identical to a sequential
-  :meth:`~repro.pipeline.stng.STNGPipeline.lift_source` sweep;
-* **racing mode** (:meth:`BatchScheduler.lift_kernel`) — one pool task
-  per CEGIS *strategy* for a single kernel, with first-verified-wins
-  cancellation (see :func:`repro.synthesis.cegis.synthesize_kernel`).
+Parallelism is over kernels (:meth:`BatchScheduler.lift_cases` and
+friends): one pool task per kernel case; each worker runs the full
+sequential pipeline for its case, so results are identical to a
+sequential :meth:`~repro.pipeline.stng.STNGPipeline.lift_source` sweep.
 
 Cache discipline under parallelism: workers read the store but never
 write it.  Each worker accumulates its newly-computed entries in memory
 and ships them back with its reports; the parent merges them into its
 cache and saves once, so concurrent workers cannot corrupt or clobber
-the store file.
+the store.
 
 Fault discipline: a worker crash, hang or exception is *contained* to
 its job.  ``_run_jobs`` catches failures per future under a
@@ -58,7 +53,6 @@ from repro.pipeline.report import SuiteSummary, summarize_suite
 from repro.pipeline.stng import KernelReport, PipelineOptions, STNGPipeline
 from repro.suites.base import KernelCase
 from repro.suites.registry import all_cases, cases_for_suite
-from repro.synthesis.strategies import STRATEGIES
 from repro.testing import faultinject
 
 
@@ -172,7 +166,7 @@ def lift_cases_sequential(
 
 
 # One cache per worker process, built by the pool initializer: the store
-# file (or in-memory snapshot) is parsed once per worker, not once per job.
+# (or in-memory snapshot) is parsed once per worker, not once per job.
 _WORKER_CACHE: Optional[SynthesisCache] = None
 
 
@@ -294,10 +288,10 @@ class BatchScheduler:
     pool_size:
         Worker process count (defaults to ``os.cpu_count()``).
     cache:
-        Optional :class:`SynthesisCache`.  File-backed caches are opened
-        read-only by workers; in-memory caches are snapshotted into the
-        workers.  New entries always flow back through the parent, which
-        saves once per batch.
+        Optional :class:`SynthesisCache`.  Workers open a store-backed
+        cache's directory read-only; in-memory caches are snapshotted
+        into the workers.  New entries always flow back through the
+        parent, which saves once per batch.
     """
 
     def __init__(
@@ -552,26 +546,3 @@ class BatchScheduler:
 
     def lift_all(self) -> BatchResult:
         return self.lift_cases(all_cases())
-
-    # ------------------------------------------------------------------
-    # Racing mode: one pool task per strategy for a single kernel
-    # ------------------------------------------------------------------
-    def lift_kernel(
-        self,
-        kernel,
-        suite: str = "",
-        is_stencil: bool = True,
-        points: Optional[int] = None,
-        reduction_like: bool = False,
-    ) -> KernelReport:
-        """Lift one IR kernel, racing its strategies across the pool."""
-        workers = min(self.pool_size, len(STRATEGIES)) or 1
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pipeline = STNGPipeline(self.options, cache=self.cache, executor=pool)
-            return pipeline.lift_kernel(
-                kernel,
-                suite=suite,
-                is_stencil=is_stencil,
-                points=points,
-                reduction_like=reduction_like,
-            )

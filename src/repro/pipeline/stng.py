@@ -216,38 +216,16 @@ class KernelReport:
 class STNGPipeline:
     """Figure 3's toolchain: frontend, summary search, verification, codegen.
 
-    The expensive middle stage (synthesis) is injectable:
-
-    ``cache``
-        an optional :class:`repro.cache.SynthesisCache`; verified
-        summaries (and definitive failures) are replayed from it so
-        warm runs skip synthesis entirely.
-    ``executor``
-        an optional :mod:`concurrent.futures` executor; when present,
-        the CEGIS strategies for each kernel are raced on it with
-        first-verified-wins cancellation (see
-        :func:`repro.synthesis.cegis.synthesize_kernel`).
-    ``synthesizer``
-        full override — a callable ``kernel -> CEGISResult`` (raising
-        :class:`SynthesisFailure` on failure) replacing the default
-        ``synthesize_kernel`` call; used by the batch scheduler.
+    ``cache`` is an optional :class:`repro.cache.SynthesisCache`:
+    verified summaries (and definitive failures) are replayed from it so
+    warm runs skip the expensive middle stage (synthesis) entirely.
     """
 
-    def __init__(
-        self,
-        options: Optional[PipelineOptions] = None,
-        cache=None,
-        executor=None,
-        synthesizer=None,
-    ):
+    def __init__(self, options: Optional[PipelineOptions] = None, cache=None):
         self.options = options or PipelineOptions()
         self.cache = cache
-        self.executor = executor
-        self._synthesizer = synthesizer
 
     def _synthesize(self, kernel: Kernel) -> CEGISResult:
-        if self._synthesizer is not None:
-            return self._synthesizer(kernel)
         return synthesize_kernel(
             kernel,
             trials=self.options.trials,
@@ -255,7 +233,6 @@ class STNGPipeline:
             max_candidates=self.options.max_candidates,
             verifier_environments=self.options.verifier_environments,
             cache=self.cache,
-            executor=self.executor,
             timeout=self.options.synthesis_timeout,
             compile_options=self.options.compile_options,
             inductive=self.options.inductive,

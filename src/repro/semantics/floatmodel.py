@@ -8,7 +8,9 @@ field; the CEGIS counterexample generators fill concrete arrays with
 ``Mod7`` values, so candidate mismatches show up as exact field
 inequalities rather than floating-point noise, while the full verifier
 (:mod:`repro.verification`) works with symbolic values interpreted over
-the reals.
+the reals.  The field lives with the shared semantics because the
+compiled evaluators (:mod:`repro.compile`) and the bounded verifier
+compute with it too.
 """
 
 from __future__ import annotations

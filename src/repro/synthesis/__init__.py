@@ -18,7 +18,7 @@ from repro.synthesis.cegis import (
     synthesize_kernel,
     synthesize_kernel_uncached,
 )
-from repro.synthesis.floatmodel import Mod7
+from repro.semantics.floatmodel import Mod7
 from repro.synthesis.skolem import partial_skolem_witnesses
 from repro.synthesis.strategies import STRATEGIES, Strategy
 

@@ -1,14 +1,10 @@
 """The CEGIS driver (§3, §4.5).
 
 For each kernel the driver builds several synthesis problems (one per
-applicable strategy) and solves them.  By default they are solved
-sequentially in priority order; when an executor is injected
-(:func:`synthesize_kernel`'s ``executor`` parameter) the strategies are
-*raced* in parallel — the paper ran them on a cluster — with
-first-verified-wins semantics: as soon as the highest-priority strategy
-that can verify has done so, every lower-priority strategy still
-pending is cancelled.  Both paths produce identical results because the
-winner is always the first strategy in priority order that verifies.
+applicable strategy) and solves them sequentially in priority order;
+the first strategy that verifies wins.  The paper ran the strategies
+in parallel on a cluster; here parallelism is over kernels instead
+(:class:`~repro.pipeline.scheduler.BatchScheduler`).
 
 A content-addressed cache (:mod:`repro.cache`) can also be injected:
 on a hit the verified summary (or the recorded definitive failure) is
@@ -34,7 +30,7 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.serialize import CachePayloadError
@@ -122,13 +118,6 @@ class CEGISResult:
         if self.proved:
             return "proved"
         return f"verified (bounded N={self.verification.states_checked})"
-
-
-@dataclass
-class _StrategyOutcome:
-    problem: SynthesisProblem
-    result: Optional[CEGISResult]
-    error: Optional[str]
 
 
 class CounterexampleReplay:
@@ -284,8 +273,8 @@ def _strategy_seed(seed: int, strategy_name: str) -> int:
     """Stable per-strategy RNG seed.
 
     CRC32 rather than ``hash()``: Python string hashing is randomized
-    per process, which would make results differ between the sequential
-    path and process-pool workers (and between repeated runs).
+    per process, which would make results differ between process-pool
+    workers (and between repeated runs).
     """
     return seed + zlib.crc32(strategy_name.encode("utf-8")) % 1000
 
@@ -395,136 +384,6 @@ def _attempt_strategy(
     return True, result
 
 
-def _strategy_worker(
-    kernel: ir.Kernel,
-    strategy_name: str,
-    trials: int,
-    seed: int,
-    max_candidates: int,
-    quick_samples: int,
-    verifier_environments: int,
-    compile_options: Optional[CompileOptions] = None,
-    inductive: bool = False,
-    max_proof_attempts: int = 12,
-) -> Tuple[str, Any]:
-    """Process-pool entry point: run one named strategy end to end.
-
-    Strategies are resolved by name from :data:`STRATEGIES` because the
-    strategy transforms are closures and do not pickle.  Template
-    generation and VC setup are replicated per worker — the cluster
-    model of the paper — and are deterministic, so a shared-setup
-    failure surfaces identically in every worker.
-    """
-    strategy = next((s for s in STRATEGIES if s.name == strategy_name), None)
-    if strategy is None:
-        return "error", f"unknown strategy {strategy_name!r}"
-    try:
-        base_templates, vc, verifier, prover = _prepare_problem_inputs(
-            kernel, trials, seed, verifier_environments, compile_options, inductive
-        )
-    except SynthesisFailure as exc:
-        return "prepare_failed", str(exc)
-    applicable, result = _attempt_strategy(
-        kernel,
-        strategy,
-        base_templates,
-        vc,
-        verifier,
-        max_candidates,
-        quick_samples,
-        seed,
-        compile_options=compile_options,
-        prover=prover,
-        max_proof_attempts=max_proof_attempts,
-    )
-    return "done", (applicable, result)
-
-
-def _race_strategies(
-    kernel: ir.Kernel,
-    strategies: Sequence[Strategy],
-    executor,
-    trials: int,
-    seed: int,
-    max_candidates: int,
-    quick_samples: int,
-    verifier_environments: int,
-    timeout: Optional[float],
-    compile_options: Optional[CompileOptions] = None,
-    inductive: bool = False,
-    max_proof_attempts: int = 12,
-) -> CEGISResult:
-    """Race every strategy on ``executor``; first-verified-in-priority-order wins.
-
-    Determinism: a strategy's verified result is only accepted once
-    every *higher*-priority strategy has completed without one, so the
-    winner is always the strategy the sequential path would have
-    returned.  Acceptance cancels every lower-priority strategy still
-    pending (first-verified-wins cancellation); strategies already
-    running finish on their worker and are discarded.
-    """
-    import concurrent.futures as cf
-
-    deadline = None if timeout is None else time.monotonic() + timeout
-    futures = [
-        executor.submit(
-            _strategy_worker,
-            kernel,
-            strategy.name,
-            trials,
-            seed,
-            max_candidates,
-            quick_samples,
-            verifier_environments,
-            compile_options,
-            inductive,
-            max_proof_attempts,
-        )
-        for strategy in strategies
-    ]
-    try:
-        while True:
-            # Resolve in priority order over the currently-known outcomes.
-            failures: List[str] = []
-            winner: Optional[CEGISResult] = None
-            undecided = False
-            for strategy, future in zip(strategies, futures):
-                if not future.done():
-                    undecided = True
-                    break
-                status, value = future.result()
-                if status in ("prepare_failed", "error"):
-                    raise SynthesisFailure(str(value))
-                applicable, result = value
-                if result is not None:
-                    winner = result
-                    break
-                if applicable:
-                    failures.append(strategy.name)
-            if winner is not None:
-                return winner
-            if not undecided:
-                raise SynthesisFailure(
-                    f"no strategy produced a verified summary for {kernel.name} "
-                    f"(tried: {', '.join(failures) or 'none applicable'})"
-                )
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SynthesisTimeout(
-                        f"synthesis for {kernel.name} timed out after {timeout}s"
-                    )
-            cf.wait(
-                [f for f in futures if not f.done()],
-                timeout=remaining,
-                return_when=cf.FIRST_COMPLETED,
-            )
-    finally:
-        for future in futures:
-            future.cancel()
-
-
 def synthesize_kernel_uncached(
     kernel: ir.Kernel,
     trials: int = 2,
@@ -533,7 +392,6 @@ def synthesize_kernel_uncached(
     max_candidates: int = 2000,
     quick_samples: int = 2,
     verifier_environments: int = 2,
-    executor=None,
     timeout: Optional[float] = None,
     compile_options: Optional[CompileOptions] = None,
     inductive: bool = False,
@@ -541,12 +399,8 @@ def synthesize_kernel_uncached(
 ) -> CEGISResult:
     """Lift one kernel without consulting any cache.
 
-    With ``executor=None`` strategies run sequentially in priority
-    order; with a :mod:`concurrent.futures` executor they are raced
-    (custom ``strategies`` objects cannot be shipped to workers, so an
-    explicit ``strategies`` argument forces the sequential path).
-    ``timeout`` bounds the total synthesis time — between strategies on
-    the sequential path, and as a hard wait deadline when racing.
+    Strategies run sequentially in priority order.  ``timeout`` bounds
+    the total synthesis time; it is checked between strategies.
     ``compile_options`` selects how candidates are evaluated (generated
     code by default, the tree-walking interpreters when disabled); both
     produce bit-identical results.
@@ -561,25 +415,8 @@ def synthesize_kernel_uncached(
     Raises :class:`SynthesisFailure` when template generation cannot
     express the kernel or no candidate verifies under any strategy.
     """
-    use_racing = executor is not None and strategies is None
     strategies = list(strategies) if strategies is not None else list(STRATEGIES)
     compile_options = CompileOptions.coerce(compile_options)
-    if use_racing:
-        return _race_strategies(
-            kernel,
-            strategies,
-            executor,
-            trials=trials,
-            seed=seed,
-            max_candidates=max_candidates,
-            quick_samples=quick_samples,
-            verifier_environments=verifier_environments,
-            timeout=timeout,
-            compile_options=compile_options,
-            inductive=inductive,
-            max_proof_attempts=max_proof_attempts,
-        )
-
     start = time.monotonic()
     base_templates, vc, verifier, prover = _prepare_problem_inputs(
         kernel, trials, seed, verifier_environments, compile_options, inductive
@@ -620,7 +457,6 @@ def synthesize_kernel(
     quick_samples: int = 2,
     verifier_environments: int = 2,
     cache=None,
-    executor=None,
     timeout: Optional[float] = None,
     compile_options: Optional[CompileOptions] = None,
     inductive: bool = False,
@@ -631,8 +467,6 @@ def synthesize_kernel(
     ``cache`` is an optional :class:`repro.cache.SynthesisCache`: a hit
     replays the stored verified summary (or recorded failure) without
     synthesizing; a miss synthesizes and records the outcome.
-    ``executor`` is an optional :mod:`concurrent.futures` executor used
-    to race the strategies (see :func:`synthesize_kernel_uncached`).
     ``compile_options`` selects the evaluation backend and is part of
     the cache fingerprint, as are ``inductive``/``max_proof_attempts``.
 
@@ -701,7 +535,6 @@ def synthesize_kernel(
             max_candidates=max_candidates,
             quick_samples=quick_samples,
             verifier_environments=verifier_environments,
-            executor=executor,
             timeout=timeout,
             compile_options=compile_options,
             inductive=inductive,

@@ -16,7 +16,7 @@ Spec format (JSON)::
       "faults": [
         {"site": "worker-job", "key": "heat_step", "kind": "kill",
          "occurrences": [1]},
-        {"site": "store-file", "kind": "truncate", "occurrences": [1],
+        {"site": "shard-log", "kind": "truncate", "occurrences": [1],
          "keep_bytes": 40}
       ]
     }
@@ -41,7 +41,6 @@ Hook sites wired into production code:
 ``artifact-so``     published ``.so`` (``truncate`` = torn write)
 ``schedule-publish`` :meth:`~repro.cache.schedules.ScheduleStore.put` entry
 ``schedule-record`` published tuned-schedule record (``truncate``)
-``store-file``      synthesis store file after a save (``truncate``)
 ``shard-append``    sharded-store append, lock held (key: shard name)
 ``shard-log``       shard log after an append (``truncate`` = torn tail)
 ``shard-compact``   before a shard compaction rewrite (key: shard name)

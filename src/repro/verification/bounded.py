@@ -17,6 +17,7 @@ from repro.predicates.evaluate import (
 from repro.predicates.language import Invariant
 from repro.semantics.evalexpr import EvalError, eval_ir_expr, eval_sym_expr
 from repro.semantics.exec import ExecutionError, loop_counter_values
+from repro.semantics.floatmodel import Mod7
 from repro.semantics.state import ArrayValue, State, fresh_symbolic_array, require_int
 from repro.symbolic.expr import Expr, sym
 from repro.symbolic.interpreter import (
@@ -52,10 +53,6 @@ def make_concrete_state(
     are drawn from GF(7) when ``field_values`` is set (the synthesis
     float model), from small floats otherwise.
     """
-    # Imported here to avoid a circular import with the synthesis package,
-    # whose CEGIS driver depends on this verifier.
-    from repro.synthesis.floatmodel import Mod7
-
     state = State(scalars=dict(int_env))
 
     def draw():

@@ -1,9 +1,9 @@
-"""Cache interactions of the Tier-3 prover plus the store-merge bugfix.
+"""Cache interactions of the Tier-3 prover plus multi-writer store merges.
 
-Three satellite regressions live here:
+Three regressions live here:
 
-* the store's save path used to be a blind read-modify-write — two
-  writers sharing one path lost entries to the last ``os.replace``;
+* two writers sharing one store path must not lose each other's
+  entries: every save folds the entries on disk into memory;
 * certificates (and the candidate summaries they cover) must re-intern
   their hash-consed expression nodes when loaded in another process,
   the same pitfall PR 2 fixed for pickle;
@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.cache import SynthesisCache
+from repro.cache import ShardedStore, SynthesisCache
 from repro.cache.serialize import result_from_payload, result_to_payload
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
@@ -56,10 +56,9 @@ def _record_in_process(path: str, fingerprint: str) -> int:
 
 class TestMultiWriterStore:
     def test_concurrent_instances_do_not_lose_entries(self, tmp_path):
-        # Both instances load the (empty) store before either saves:
-        # without merge-on-save the second os.replace drops the first
-        # writer's entry.
-        path = tmp_path / "store.json"
+        # Both instances load the (empty) store before either saves;
+        # each save appends only its own entry, so neither is dropped.
+        path = tmp_path / "store"
         writer_a = SynthesisCache(path)
         writer_b = SynthesisCache(path)
         writer_a.record_failure("fp-a", "failure a")
@@ -69,7 +68,7 @@ class TestMultiWriterStore:
         assert merged.get("fp-b") is not None
 
     def test_cross_process_writers_merge(self, tmp_path):
-        path = str(tmp_path / "store.json")
+        path = str(tmp_path / "store")
         fingerprints = [f"fp-{index}" for index in range(8)]
         with ProcessPoolExecutor(max_workers=4) as pool:
             list(pool.map(_record_in_process, [path] * len(fingerprints), fingerprints))
@@ -77,15 +76,8 @@ class TestMultiWriterStore:
         missing = [fp for fp in fingerprints if final.get(fp) is None]
         assert not missing, f"lost entries: {missing}"
 
-    def test_clear_does_not_resurrect_disk_entries(self, tmp_path):
-        path = tmp_path / "store.json"
-        cache = SynthesisCache(path)
-        cache.record_failure("fp-a", "failure a")
-        cache.clear()
-        assert len(SynthesisCache(path)) == 0
-
     def test_own_entries_win_fingerprint_collisions(self, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         first = SynthesisCache(path)
         first.record_failure("fp", "first message")
         second = SynthesisCache(path)
@@ -135,7 +127,7 @@ def _replay_worker(path: str) -> dict:
 class TestCertificateReplay:
     @pytest.fixture()
     def populated_store(self, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         kernel = _kernel()
         result = synthesize_kernel(
             kernel,
@@ -179,11 +171,11 @@ class TestCertificateReplay:
         # Corrupt the stored candidate (different rhs, same structure):
         # the digest no longer matches the certificate, so the replay is
         # refused and synthesis runs cold.
-        raw = json.loads(populated_store.read_text())
-        (entry,) = raw["entries"].values()
-        conjunct = entry["payload"]["post"]["conjuncts"][0]
+        (shard,) = ShardedStore(populated_store).shard_files()
+        record = json.loads(shard.read_text())
+        conjunct = record["entry"]["payload"]["post"]["conjuncts"][0]
         conjunct["rhs"] = ["frac", 7, 1]
-        populated_store.write_text(json.dumps(raw))
+        shard.write_text(json.dumps(record) + "\n")
 
         calls = {"count": 0}
         real = cegis.synthesize_kernel_uncached
@@ -253,7 +245,7 @@ class TestProverOffCompatibility:
 
     def test_warm_pipeline_reports_identical_with_prover(self, tmp_path):
         options = PipelineOptions(seed=1, autotune_budget=20, verifier_environments=1)
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         cold = STNGPipeline(options, cache=SynthesisCache(path)).lift_source(
             TWO_POINT, suite="demo", points=64
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,7 +126,7 @@ class TestSerialization:
 class TestStore:
     def test_hit_skips_synthesis(self, tmp_path, counted_synthesis):
         kernel = _kernel(TWO_POINT)
-        cache = SynthesisCache(tmp_path / "store.json")
+        cache = SynthesisCache(tmp_path / "store")
         first = synthesize_kernel(kernel, seed=1, verifier_environments=1, cache=cache)
         assert counted_synthesis["count"] == 1
         second = synthesize_kernel(kernel, seed=1, verifier_environments=1, cache=cache)
@@ -135,7 +136,7 @@ class TestStore:
 
     def test_persists_across_instances(self, tmp_path, counted_synthesis):
         kernel = _kernel(TWO_POINT)
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         synthesize_kernel(kernel, seed=1, verifier_environments=1, cache=SynthesisCache(path))
         warm = SynthesisCache(path)
         synthesize_kernel(kernel, seed=1, verifier_environments=1, cache=warm)
@@ -144,7 +145,7 @@ class TestStore:
 
     def test_option_change_misses(self, tmp_path, counted_synthesis):
         kernel = _kernel(TWO_POINT)
-        cache = SynthesisCache(tmp_path / "store.json")
+        cache = SynthesisCache(tmp_path / "store")
         synthesize_kernel(kernel, seed=1, verifier_environments=1, cache=cache)
         synthesize_kernel(kernel, seed=1, trials=3, verifier_environments=1, cache=cache)
         assert counted_synthesis["count"] == 2
@@ -153,22 +154,24 @@ class TestStore:
         from repro.cache import CacheIntegrityWarning
 
         kernel = _kernel(TWO_POINT)
-        path = tmp_path / "store.json"
-        path.write_text("{not json at all", encoding="utf-8")
-        with pytest.warns(CacheIntegrityWarning):
+        path = tmp_path / "store"
+        path.mkdir()
+        garbage = path / "shard-0.jsonl"
+        garbage.write_text("{not json at all\n", encoding="utf-8")
+        with pytest.warns(CacheIntegrityWarning, match="undecodable"):
             cache = SynthesisCache(path)
         result = synthesize_kernel(kernel, seed=1, verifier_environments=1, cache=cache)
         assert result.verification.ok
         assert counted_synthesis["count"] == 1
-        # The corrupt file was quarantined, not overwritten: the evidence
-        # survives next to a fresh store holding the cold result.
-        quarantined = path.with_name(path.name + ".corrupt-1")
-        assert quarantined.read_text(encoding="utf-8") == "{not json at all"
-        assert len(SynthesisCache(path)) == 1
+        # The damaged line was skipped, not overwritten: the evidence
+        # survives next to the persisted cold result.
+        assert garbage.read_text(encoding="utf-8").startswith("{not json at all\n")
+        with pytest.warns(CacheIntegrityWarning, match="undecodable"):
+            assert len(SynthesisCache(path)) == 1
 
     def test_version_mismatch_invalidates(self, tmp_path, counted_synthesis):
         kernel = _kernel(TWO_POINT)
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         synthesize_kernel(
             kernel, seed=1, verifier_environments=1, cache=SynthesisCache(path)
         )
@@ -181,20 +184,22 @@ class TestStore:
         """Version skew is loud now: a StaleVersionWarning names the count."""
         from repro.cache import StaleVersionWarning
 
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         seeded = SynthesisCache(path, autosave=False)
         seeded.record_failure("a" * 64, "m1", "k1")
         seeded.record_failure("b" * 64, "m2", "k2")
         seeded.save()
-        with pytest.warns(StaleVersionWarning, match="discarding 2 stale"):
+        with pytest.warns(
+            StaleVersionWarning, match="holds 2 entries from other code versions"
+        ):
             stale = SynthesisCache(path, code_version=CODE_VERSION + "-next")
         assert len(stale) == 0
-        # The file is not quarantined — skew is invalidation, not damage.
-        assert path.is_file()
+        # The shards are not touched — skew is invalidation, not damage.
+        assert len(list(path.glob("shard-*.jsonl"))) == 2
 
     def test_failure_is_cached(self, tmp_path, counted_synthesis):
         kernel = _kernel(TWO_POINT)
-        cache = SynthesisCache(tmp_path / "store.json")
+        cache = SynthesisCache(tmp_path / "store")
         with pytest.raises(SynthesisFailure) as first:
             synthesize_kernel(kernel, seed=1, strategies=[], cache=cache)
         with pytest.raises(SynthesisFailure) as second:
@@ -204,7 +209,7 @@ class TestStore:
 
     def test_failure_caching_can_be_disabled(self, tmp_path, counted_synthesis):
         kernel = _kernel(TWO_POINT)
-        cache = SynthesisCache(tmp_path / "store.json", cache_failures=False)
+        cache = SynthesisCache(tmp_path / "store", cache_failures=False)
         for _ in range(2):
             with pytest.raises(SynthesisFailure):
                 synthesize_kernel(kernel, seed=1, strategies=[], cache=cache)
@@ -214,7 +219,7 @@ class TestStore:
         # A failure recorded by an earlier (cache_failures=True) run must not
         # be replayed once failure caching is turned off.
         kernel = _kernel(TWO_POINT)
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         with pytest.raises(SynthesisFailure):
             synthesize_kernel(kernel, seed=1, strategies=[], cache=SynthesisCache(path))
         retry = SynthesisCache(path, cache_failures=False)
@@ -229,7 +234,7 @@ class TestStore:
         from repro.synthesis.strategies import STRATEGIES, Strategy
 
         kernel = _kernel(TWO_POINT)
-        cache = SynthesisCache(tmp_path / "store.json")
+        cache = SynthesisCache(tmp_path / "store")
         impostor = Strategy("default", lambda _kernel, templates: templates)
         synthesize_kernel(
             kernel, seed=1, verifier_environments=1, strategies=[impostor], cache=cache
@@ -244,7 +249,7 @@ class TestStore:
     def test_timeouts_are_never_cached(self, tmp_path, counted_synthesis):
         # Timeout failures are wall-clock-dependent; a warm run re-attempts.
         kernel = _kernel(TWO_POINT)
-        cache = SynthesisCache(tmp_path / "store.json")
+        cache = SynthesisCache(tmp_path / "store")
         for _ in range(2):
             with pytest.raises(SynthesisTimeout):
                 synthesize_kernel(kernel, seed=1, timeout=0.0, cache=cache)
@@ -255,7 +260,7 @@ class TestStore:
 class TestPipelineIntegration:
     def test_warm_pipeline_report_is_identical(self, tmp_path, counted_synthesis):
         options = PipelineOptions(seed=1, autotune_budget=20, verifier_environments=1)
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         cold = STNGPipeline(options, cache=SynthesisCache(path)).lift_source(
             TWO_POINT, suite="demo", points=64
         )
@@ -267,7 +272,7 @@ class TestPipelineIntegration:
 
 
 class TestFileLock:
-    """Crash-reclaimable locking for the store's read-merge-replace save."""
+    """Crash-reclaimable locking for the store's per-shard appends."""
 
     def test_acquire_release_round_trip(self, tmp_path):
         from repro.cache import FileLock
@@ -345,13 +350,14 @@ class TestFileLock:
         import time
 
         import repro.cache.locks as locks_mod
+        from repro.cache import ShardedStore
 
-        store_path = tmp_path / "store.json"
-        lock_path = tmp_path / "store.json.lock"
+        store_path = tmp_path / "store"
+        lock_path = Path(str(ShardedStore(store_path).shard_file("fp-after-crash")) + ".lock")
         src_dir = os.path.dirname(os.path.dirname(os.path.dirname(locks_mod.__file__)))
-        # The victim acquires the store's save lock exactly as
-        # SynthesisCache.save does, announces it, then hangs as if it
-        # died between acquire and release.
+        # The victim acquires the shard lock that SynthesisCache.save
+        # needs for this entry, announces it, then hangs as if it died
+        # between acquire and release.
         victim = subprocess.Popen(
             [
                 sys.executable,

@@ -67,7 +67,7 @@ from repro.symbolic.expr import (
     sym,
 )
 from repro.synthesis.cegis import synthesis_config, synthesize_kernel
-from repro.synthesis.floatmodel import Mod7
+from repro.semantics.floatmodel import Mod7
 from repro.vcgen.hoare import generate_vc
 
 

@@ -86,8 +86,8 @@ def reference():
 
 @pytest.fixture(scope="module")
 def warm_store(tmp_path_factory, reference):
-    """A populated store file so faulted batches re-run warm and fast."""
-    path = tmp_path_factory.mktemp("warm") / "store.json"
+    """A populated store so faulted batches re-run warm and fast."""
+    path = tmp_path_factory.mktemp("warm") / "store"
     cache = SynthesisCache(path, autosave=False)
     lift_cases_sequential(CASES, OPTIONS, cache)
     cache.save()
@@ -95,8 +95,8 @@ def warm_store(tmp_path_factory, reference):
 
 
 def _copy_store(warm_store, tmp_path):
-    path = tmp_path / "store.json"
-    shutil.copy(warm_store, path)
+    path = tmp_path / "store"
+    shutil.copytree(warm_store, path)
     return path
 
 
@@ -253,7 +253,7 @@ class TestPartialProgress:
         self, tmp_path, monkeypatch
     ):
         """Cold batch with one terminally-failing job: the successful
-        kernels' cache entries still reach the store file.  (``raise``,
+        kernels' cache entries still reach the store.  (``raise``,
         not ``kill``: a pool breakage under ``max_attempts=1`` also
         terminally charges the innocent in-flight job, since blame for
         a broken pool cannot be pinned — crash recovery with a retry
@@ -271,7 +271,7 @@ class TestPartialProgress:
             ],
         )
         monkeypatch.setenv(ENV_VAR, str(spec))
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         policy = FaultPolicy(max_attempts=1, backoff_seconds=0.0)
         cache = SynthesisCache(path, autosave=False)
         result = BatchScheduler(
@@ -298,7 +298,7 @@ class TestPartialProgress:
             ],
         )
         monkeypatch.setenv(ENV_VAR, str(spec))
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         cache = SynthesisCache(path, autosave=False)
         result = BatchScheduler(
             OPTIONS,
@@ -312,7 +312,7 @@ class TestPartialProgress:
     def test_parent_side_interruption_still_saves(self, tmp_path):
         """Even when aggregation itself blows up mid-batch, entries
         merged before the interruption are persisted (save in finally)."""
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         cache = SynthesisCache(path, autosave=False)
         calls = {"n": 0}
         real_merge = cache.merge_entries
@@ -338,10 +338,15 @@ class TestLockFaults:
     def test_batch_save_reclaims_lock_of_killed_holder(
         self, warm_store, reference, tmp_path
     ):
-        """A process SIGKILLed *while holding* the store's save lock
-        (injected at the lock-acquired hook) must not wedge the batch."""
+        """A process SIGKILLed *while holding* the shard lock the batch's
+        save needs (injected at the lock-acquired hook) must not wedge
+        the batch."""
         path = _copy_store(warm_store, tmp_path)
-        lock_path = str(path) + ".lock"
+        # Drop one shard so its kernels lift cold and the save appends
+        # to exactly the shard whose lock the corpse holds.
+        shard = ShardedStore(path).shard_files()[0]
+        shard.unlink()
+        lock_path = str(shard) + ".lock"
         spec = write_spec(
             tmp_path / "faults.json",
             tmp_path / "state",
@@ -368,10 +373,13 @@ class TestLockFaults:
         cache = SynthesisCache(path, autosave=False)
         result = BatchScheduler(OPTIONS, pool_size=2, cache=cache).lift_cases(CASES)
         assert _signatures(result.reports) == reference
+        assert result.cache_misses > 0
         assert not os.path.exists(lock_path)  # reclaimed, then released
+        assert shard.is_file()  # the save appended to the reclaimed shard
+        assert len(SynthesisCache(path)) == len(CASES)
 
     def test_store_save_degrades_to_memory_under_live_lock(self, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         writer = SynthesisCache(path, autosave=False)
         writer.record_failure("fp-disk", "no strategy verified")
         writer.save()
@@ -382,21 +390,24 @@ class TestLockFaults:
         other = SynthesisCache(path, autosave=False)
         other.record_failure("fp-disk2", "no strategy verified")
         other.save()
-        # ...and a live holder pins the lock during our save.
-        holder = FileLock(str(path) + ".lock")
+        # ...and a live holder pins the lock of the shard our save needs.
+        shard = ShardedStore(path).shard_file("fp-mem")
+        holder = FileLock(str(shard) + ".lock")
         holder.acquire()
         try:
-            before = path.read_bytes()
-            with pytest.warns(CacheIntegrityWarning, match="lock busy"):
+            before = shard.read_bytes()
+            with pytest.warns(CacheIntegrityWarning, match="shard lock busy"):
                 cache.save()
-            assert path.read_bytes() == before  # the file was not touched
+            assert shard.read_bytes() == before  # the shard was not touched
         finally:
             holder.release()
-        # The degraded save still folded the disk entries into memory.
+        # The degraded save still folded the other writers' entries into
+        # memory, and held our own back for the next save.
         assert cache.get("fp-disk") is not None
         assert cache.get("fp-disk2") is not None
         assert cache.get("fp-mem") is not None
-        # And nothing was lost: the next unobstructed save writes it all.
+        assert "fp-mem" not in ShardedStore(path).load_all()
+        # And nothing was lost: the next unobstructed save writes it.
         cache.save()
         reread = SynthesisCache(path)
         for fp in ("fp-disk", "fp-disk2", "fp-mem"):
@@ -419,37 +430,8 @@ class TestLockFaults:
 
 
 # ---------------------------------------------------------------------------
-# Torn writes: store file and artifact store
+# Torn writes: shard logs
 # ---------------------------------------------------------------------------
-
-class TestTornWrites:
-    def test_truncated_store_quarantines_and_recovers(
-        self, reference, tmp_path, monkeypatch
-    ):
-        """An injected torn write on the store's own save: the next run
-        quarantines the damage, degrades to cold, and still matches."""
-        spec = write_spec(
-            tmp_path / "faults.json",
-            tmp_path / "state",
-            [{"site": "store-file", "kind": "truncate", "occurrences": [1]}],
-        )
-        monkeypatch.setenv(ENV_VAR, str(spec))
-        path = tmp_path / "store.json"
-        first = BatchScheduler(
-            OPTIONS, pool_size=2, cache=SynthesisCache(path, autosave=False)
-        ).lift_cases(CASES)
-        assert _signatures(first.reports) == reference  # results unharmed
-
-        # The save's torn write is discovered on the next load.
-        with pytest.warns(CacheIntegrityWarning, match="quarantined"):
-            cache = SynthesisCache(path, autosave=False)
-        assert len(cache) == 0  # degraded to cold
-        assert (tmp_path / "store.json.corrupt-1").exists()
-
-        second = BatchScheduler(OPTIONS, pool_size=2, cache=cache).lift_cases(CASES)
-        assert _signatures(second.reports) == reference
-        assert len(SynthesisCache(path)) == 3  # the store healed
-
 
 class TestShardFaults:
     """Fault-matrix rows for the sharded store: a torn shard append
@@ -465,15 +447,14 @@ class TestShardFaults:
             [{"site": "shard-log", "kind": "truncate", "occurrences": [1]}],
         )
         monkeypatch.setenv(ENV_VAR, str(spec))
-        path = tmp_path / "store"  # no .json suffix: sharded backend
+        path = tmp_path / "store"
         first = BatchScheduler(
             OPTIONS, pool_size=2, cache=SynthesisCache(path, autosave=False)
         ).lift_cases(CASES)
         assert _signatures(first.reports) == reference  # results unharmed
 
-        # Unlike the single-file store (whole file quarantined, fully
-        # cold), only the torn line is lost: the next load warns, skips
-        # it, and every other shard's entries survive.
+        # Only the torn line is lost: the next load warns, skips it, and
+        # every other shard's entries survive.
         with pytest.warns(CacheIntegrityWarning, match="torn appends"):
             cache = SynthesisCache(path, autosave=False)
         assert 0 < len(cache) < len(CASES)
@@ -527,7 +508,7 @@ class TestApplicationDegradation:
         from repro.application import translate_application
         from repro.suites.apps import heat_mini_app
 
-        path = tmp_path_factory.mktemp("app") / "heat.json"
+        path = tmp_path_factory.mktemp("app") / "heat"
         cache = SynthesisCache(path, autosave=False)
         bundle = translate_application(
             heat_mini_app(), PipelineOptions(verifier_environments=1), cache=cache

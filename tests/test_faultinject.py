@@ -21,7 +21,7 @@ class TestInactive:
         monkeypatch.delenv(ENV_VAR, raising=False)
         target = tmp_path / "file.bin"
         target.write_bytes(b"x" * 100)
-        assert corrupt_file("store-file", str(target), target) is False
+        assert corrupt_file("shard-log", str(target), target) is False
         assert target.stat().st_size == 100
 
 
@@ -87,7 +87,7 @@ class TestTruncate:
             [
                 FaultSpec(
                     index=0,
-                    site="store-file",
+                    site="shard-log",
                     key="",
                     kind="truncate",
                     occurrences=(1,),
@@ -95,9 +95,9 @@ class TestTruncate:
                 )
             ],
         )
-        target = tmp_path / "store.json"
+        target = tmp_path / "shard.jsonl"
         target.write_bytes(b"0123456789abcdef")
-        assert plan.corrupt("store-file", str(target), target) is True
+        assert plan.corrupt("shard-log", str(target), target) is True
         assert target.read_bytes() == b"0123456"
 
     def test_truncate_defaults_to_half(self, tmp_path):
@@ -106,16 +106,16 @@ class TestTruncate:
             [
                 FaultSpec(
                     index=0,
-                    site="store-file",
+                    site="shard-log",
                     key="",
                     kind="truncate",
                     occurrences=(1,),
                 )
             ],
         )
-        target = tmp_path / "store.json"
+        target = tmp_path / "shard.jsonl"
         target.write_bytes(b"x" * 100)
-        plan.corrupt("store-file", str(target), target)
+        plan.corrupt("shard-log", str(target), target)
         assert target.stat().st_size == 50
 
     def test_fire_never_runs_truncate_specs(self, tmp_path):

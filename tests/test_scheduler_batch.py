@@ -48,8 +48,8 @@ def challenge_sequential():
 
 @pytest.fixture(scope="module")
 def challenge_store(tmp_path_factory, challenge_sequential):
-    """Cold batch run of Challenge at pool size 4, populating a store file."""
-    path = tmp_path_factory.mktemp("batch") / "challenge-cache.json"
+    """Cold batch run of Challenge at pool size 4, populating a store."""
+    path = tmp_path_factory.mktemp("batch") / "challenge-cache"
     cache = SynthesisCache(path, autosave=False)
     result = BatchScheduler(OPTIONS, pool_size=4, cache=cache).lift_cases(
         cases_for_suite("Challenge")
@@ -107,7 +107,7 @@ class TestCachePlumbing:
     def test_custom_code_version_reaches_workers(self, tmp_path, stencilmark_sequential):
         # Workers must open the store with the parent cache's code_version,
         # or a custom-version store would never warm up in batch mode.
-        path = tmp_path / "v2-cache.json"
+        path = tmp_path / "v2-cache"
         cases = cases_for_suite("StencilMark")
         BatchScheduler(
             OPTIONS, pool_size=2, cache=SynthesisCache(path, code_version="v2", autosave=False)

@@ -24,7 +24,7 @@ from repro.semantics import (
 )
 from repro.semantics.state import ArrayValue, require_int
 from repro.symbolic import cell, sym
-from repro.synthesis.floatmodel import Mod7, field_encode
+from repro.semantics.floatmodel import Mod7, field_encode
 
 RUNNING_EXAMPLE = """
 procedure sten(imin,imax,jmin,jmax,a,b)

@@ -1,21 +1,19 @@
-"""The sharded synthesis store: appends, compaction, migration, contention.
+"""The sharded synthesis store: appends, compaction, contention.
 
 The claims under test, in roughly escalating order of paranoia:
 
 * shard bucketing is deterministic and filesystem-safe for any key;
 * append → load round-trips, later records win, saves append rather
-  than rewrite, and the ``SynthesisCache`` suffix rule picks the right
-  backend;
+  than rewrite, any ``SynthesisCache`` path is a shard directory, and
+  a regular file at the store path is refused untouched;
 * compaction drops dead weight (rewrites, stale versions, damage)
   without losing a live entry;
-* opening a legacy single-JSON store through the sharded backend
-  migrates it atomically and idempotently, preserving the original;
 * a writer SIGKILLed mid-append (faultinject) leaves the store
   *loadable* and its shard lock reclaimable;
 * many concurrent writer processes lose zero entries while compaction
   runs under contention;
-* lift reports served from a sharded store are byte-identical
-  (``report_signature``) to ones served from the legacy single file.
+* warm lift reports served from the store are byte-identical
+  (``report_signature``) to the cold ones that filled it.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -141,24 +140,30 @@ class TestShardedStore:
 
 
 class TestSuffixRule:
-    def test_json_suffix_stays_legacy(self, tmp_path):
-        cache = SynthesisCache(tmp_path / "store.json", autosave=False)
-        assert not cache.sharded
-        cache.record_failure(_fp(1), "m")
-        cache.save()
-        assert (tmp_path / "store.json").is_file()
+    """No suffix picks a format: every store path is a shard directory."""
 
     def test_directory_path_is_sharded(self, tmp_path):
         cache = SynthesisCache(tmp_path / "store", autosave=False)
-        assert cache.sharded
         cache.record_failure(_fp(1), "m")
         cache.save()
         assert (tmp_path / "store").is_dir()
         assert list((tmp_path / "store").glob("shard-*.jsonl"))
 
-    def test_explicit_override_wins(self, tmp_path):
-        assert SynthesisCache(tmp_path / "s.json", sharded=True, autosave=False).sharded
-        assert not SynthesisCache(tmp_path / "s", sharded=False, autosave=False).sharded
+    def test_json_name_is_a_directory_and_a_regular_file_is_refused(self, tmp_path):
+        suffixed = tmp_path / "store.json"
+        cache = SynthesisCache(suffixed, autosave=False)
+        cache.record_failure(_fp(1), "m")
+        cache.save()
+        assert suffixed.is_dir()
+        assert list(suffixed.glob("shard-*.jsonl"))
+
+        occupied = tmp_path / "occupied"
+        contents = json.dumps({"version": CODE_VERSION, "entries": {_fp(2): _entry("m")}})
+        occupied.write_bytes(contents.encode("utf-8"))
+        with pytest.raises(ValueError, match=re.escape(str(occupied))):
+            SynthesisCache(occupied)
+        assert occupied.read_bytes() == contents.encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["occupied", "store.json"]
 
     def test_sharded_save_appends_only_new_entries(self, tmp_path):
         cache = SynthesisCache(tmp_path / "store", autosave=False)
@@ -180,49 +185,6 @@ class TestSuffixRule:
         assert b.get(_fp(1)) is not None  # merge-save folded a's entry in
         reread = SynthesisCache(tmp_path / "store", autosave=False)
         assert len(reread) == 2
-
-
-class TestMigration:
-    def _legacy(self, path: Path, count: int = 3) -> None:
-        entries = {_fp(n): _entry(f"legacy {n}") for n in range(1, count + 1)}
-        path.write_text(
-            json.dumps({"version": CODE_VERSION, "entries": entries}),
-            encoding="utf-8",
-        )
-
-    def test_roundtrip_preserves_entries_and_original(self, tmp_path):
-        legacy = tmp_path / "store"
-        self._legacy(legacy)
-        original_bytes = legacy.read_bytes()
-        cache = SynthesisCache(legacy, autosave=False)
-        assert cache.sharded
-        assert len(cache) == 3
-        assert cache.get(_fp(2)).failure_message == "legacy 2"
-        migrated = Path(str(legacy) + ".migrated")
-        assert migrated.read_bytes() == original_bytes
-        assert legacy.is_dir()
-
-    def test_migration_is_idempotent(self, tmp_path):
-        legacy = tmp_path / "store"
-        self._legacy(legacy)
-        SynthesisCache(legacy, autosave=False)
-        again = SynthesisCache(legacy, autosave=False)
-        assert len(again) == 3
-        # New entries keep flowing into the migrated store.
-        again.record_failure(_fp(9), "post-migration")
-        again.save()
-        assert len(SynthesisCache(legacy, autosave=False)) == 4
-
-    def test_version_skewed_legacy_migrates_to_empty(self, tmp_path):
-        legacy = tmp_path / "store"
-        entries = {_fp(1): _entry("stale")}
-        legacy.write_text(
-            json.dumps({"version": "older", "entries": entries}), encoding="utf-8"
-        )
-        with pytest.warns(StaleVersionWarning):
-            cache = SynthesisCache(legacy, autosave=False)
-        assert len(cache) == 0
-        assert Path(str(legacy) + ".migrated").is_file()
 
 
 WRITER_SCRIPT = r"""
@@ -350,25 +312,19 @@ class TestReportParity:
         "end subroutine doubler\n"
     )
 
-    def test_sharded_and_legacy_reports_are_byte_identical(self, tmp_path):
+    def test_warm_reports_are_byte_identical_to_cold(self, tmp_path):
         options = PipelineOptions(verifier_environments=1, inductive=False)
-        legacy_cache = SynthesisCache(tmp_path / "legacy.json", autosave=False)
-        legacy = translate_application(
-            self.SOURCE, options, cache=legacy_cache, driver="doubler"
+        cold_cache = SynthesisCache(tmp_path / "store", autosave=False)
+        cold = translate_application(
+            self.SOURCE, options, cache=cold_cache, driver="doubler"
         )
-        sharded_cache = SynthesisCache(tmp_path / "sharded", autosave=False)
-        sharded = translate_application(
-            self.SOURCE, options, cache=sharded_cache, driver="doubler"
-        )
-        assert [report_signature(tk.report) for tk in legacy.translated] == [
-            report_signature(tk.report) for tk in sharded.translated
-        ]
-        # Warm through the sharded store: same bytes, zero synthesis.
-        warm_cache = SynthesisCache(tmp_path / "sharded", autosave=False)
+        assert cold.cache_misses > 0
+        # Warm through the store: same bytes, zero synthesis.
+        warm_cache = SynthesisCache(tmp_path / "store", autosave=False)
         warm = translate_application(
             self.SOURCE, options, cache=warm_cache, driver="doubler"
         )
         assert warm.cache_misses == 0
         assert [report_signature(tk.report) for tk in warm.translated] == [
-            report_signature(tk.report) for tk in legacy.translated
+            report_signature(tk.report) for tk in cold.translated
         ]
