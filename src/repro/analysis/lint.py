@@ -7,10 +7,9 @@ synthesis, no measurement) and emits one JSON report:
 
 * per-kernel **dependence summaries**: distance/direction vectors and
   the provably-parallel counters;
-* per-application **site verdicts**: liftable vs fallback, demotion
-  reasons classified (``scalar-observability`` / ``filter`` /
-  ``lowering``), and the delta against the legacy name-mention
-  heuristic — the sites the liveness pass newly lifts;
+* per-application **site verdicts**: liftable vs fallback, and the
+  demotion reasons classified (``scalar-observability`` / ``filter`` /
+  ``lowering``);
 * corpus **totals**, which double as the CI gate: with ``--baseline``
   the process exits non-zero when a lifted-site or parallel-counter
   count *regresses* against the checked-in baseline (improvements
@@ -79,34 +78,24 @@ def lint_kernel_case(case) -> Dict:
 
 
 def lint_application(app) -> Dict:
-    """Scan one mini-app under both liveness modes and report the delta."""
-    program = parse_source(app.source)
-    precise = scan_application(program, precise_liveness=True)
-    legacy = scan_application(program, precise_liveness=False)
+    """Scan one mini-app and classify why each fallback site fell back."""
+    scan = scan_application(parse_source(app.source))
     demotions: Dict[str, int] = {}
     fallbacks = []
-    for site in precise.fallback_sites:
+    for site in scan.fallback_sites:
         kind = classify_demotion(site.reasons)
         demotions[kind] = demotions.get(kind, 0) + 1
         fallbacks.append(
             {"site": site.name, "kind": kind, "reasons": list(site.reasons)}
         )
-    legacy_liftable = {site.name for site in legacy.liftable_sites}
-    liveness_wins = sorted(
-        site.name
-        for site in precise.liftable_sites
-        if site.name not in legacy_liftable
-    )
     return {
         "application": app.name,
         "suite": app.suite,
-        "sites": len(precise.sites),
-        "liftable": len(precise.liftable_sites),
-        "fallback": len(precise.fallback_sites),
+        "sites": len(scan.sites),
+        "liftable": len(scan.liftable_sites),
+        "fallback": len(scan.fallback_sites),
         "demotion_reasons": demotions,
         "fallbacks": fallbacks,
-        "legacy_liftable": len(legacy.liftable_sites),
-        "liveness_wins": liveness_wins,
     }
 
 
@@ -139,9 +128,6 @@ def build_report(representative: bool = False) -> Dict:
             "parallel_counters": parallel_counters,
             "app_sites": sum(entry["sites"] for entry in applications),
             "app_liftable": app_liftable,
-            "app_liveness_wins": sum(
-                len(entry["liveness_wins"]) for entry in applications
-            ),
         },
     }
 

@@ -102,54 +102,32 @@ def _assigned_scalars(loops: List[DoLoop]) -> set:
     return names - _loop_counters(loops)
 
 
-def _names_mentioned(stmts) -> set:
-    """Every identifier occurring in a statement list (conservative)."""
-    from repro.frontend.candidates import _iter_exprs
-    from repro.frontend.ast import Ref
-
-    names = set()
-    for expr in _iter_exprs(list(stmts)):
-        if isinstance(expr, Ref):
-            names.add(expr.name)
-    return names
-
-
-def _live_scalar_temporaries(
-    proc: Procedure, loops: List[DoLoop], end: int, precise: bool = True
-) -> set:
+def _live_scalar_temporaries(proc: Procedure, loops: List[DoLoop], end: int) -> set:
     """Scalar temporaries whose post-loop values are observable.
 
     Substitution replays loop *counters* but not scalar temporaries
     (the rotation scalars of hand-optimised kernels); a temporary whose
     value can be seen after the span makes the site unsafe to
-    substitute.  ``precise`` runs the backward liveness pass
-    (:mod:`repro.analysis.liveness`) — a temporary merely *mentioned*
-    later (say, re-initialised) is dead, and the site lifts; the legacy
-    heuristic treated any later mention of the name, and any parameter,
-    as observable.
+    substitute.  The backward liveness pass
+    (:mod:`repro.analysis.liveness`) decides it: a temporary merely
+    *mentioned* later (say, re-initialised) is dead, and the site lifts.
     """
     assigned = _assigned_scalars(loops)
     if not assigned:
         return set()
-    if precise:
-        from repro.analysis.liveness import scalars_live_after
+    from repro.analysis.liveness import scalars_live_after
 
-        return set(scalars_live_after(proc, end).restrict(assigned))
-    observable = set(proc.params) | _names_mentioned(proc.body[end:])
-    return assigned & observable
+    return set(scalars_live_after(proc, end).restrict(assigned))
 
 
 def _close_site(
-    proc: Procedure,
-    pending: List[Tuple[int, DoLoop]],
-    site_index: int,
-    precise_liveness: bool = True,
+    proc: Procedure, pending: List[Tuple[int, DoLoop]], site_index: int
 ) -> LoopSite:
     """Build the site for a run of consecutive filter-passing loops."""
     start = pending[0][0]
     end = pending[-1][0] + 1
     loops = [loop for _pos, loop in pending]
-    live_scalars = _live_scalar_temporaries(proc, loops, end, precise_liveness)
+    live_scalars = _live_scalar_temporaries(proc, loops, end)
     if live_scalars:
         return LoopSite(
             procedure=proc.name,
@@ -187,14 +165,8 @@ def _close_site(
     )
 
 
-def scan_application(program: Program, precise_liveness: bool = True) -> ApplicationScan:
-    """Scan every procedure for loop sites, liftable or not.
-
-    ``precise_liveness`` selects the static liveness pass for the
-    scalar-observability check (the default); ``False`` restores the
-    name-mention heuristic, kept for comparison and for the lint CLI's
-    demotion-delta report.
-    """
+def scan_application(program: Program) -> ApplicationScan:
+    """Scan every procedure for loop sites, liftable or not."""
     scan = ApplicationScan(program=program)
     for proc in program.procedures:
         pending: List[Tuple[int, DoLoop]] = []
@@ -204,9 +176,7 @@ def scan_application(program: Program, precise_liveness: bool = True) -> Applica
             nonlocal site_index
             if not pending:
                 return
-            scan.sites.append(
-                _close_site(proc, pending, site_index, precise_liveness)
-            )
+            scan.sites.append(_close_site(proc, pending, site_index))
             site_index += 1
             pending.clear()
 

@@ -98,7 +98,10 @@ class MeasuredObjective:
     func, domain, inputs, input_origins, params:
         The workload, exactly as :func:`repro.halide.executor.realize`
         takes it.  The schedule-blind reference output is computed once
-        at construction and every measured run is compared against it.
+        at construction and every measured output is checked
+        bit-identical to it: a mismatch raises
+        :class:`DifferentialCheckError`, so every recorded
+        :class:`Measurement` is ``verified``.
     backend:
         ``"codegen"`` (generated-Python, the default), ``"native"``
         (compiled C via :mod:`repro.native`), or ``"auto"`` (native
@@ -119,9 +122,6 @@ class MeasuredObjective:
         faults for the native backend); timing it used to leak that
         cost into the min-of-repeats, biasing the tuner against
         whichever schedule it happened to evaluate first.
-    differential:
-        When true (default) every measured output is checked
-        bit-identical to the reference.
     artifacts:
         Optional :class:`~repro.cache.artifacts.ArtifactStore` so the
         native backend reuses compiled kernels across processes.
@@ -150,7 +150,6 @@ class MeasuredObjective:
         params: Optional[Mapping[str, float]] = None,
         backend: str = "codegen",
         repeats: int = 1,
-        differential: bool = True,
         strict_bounds: bool = False,
         parallel_chunks: int = 8,
         warmup: int = 1,
@@ -167,7 +166,6 @@ class MeasuredObjective:
         self.effective_backend = self.backend
         self.repeats = max(1, repeats)
         self.warmup = max(0, warmup)
-        self.differential = differential
         self.strict_bounds = strict_bounds
         self.parallel_chunks = parallel_chunks
         self.artifacts = artifacts
@@ -239,19 +237,16 @@ class MeasuredObjective:
             ):
                 aborted = True
                 break
-        verified = False
-        if self.differential:
-            if not np.array_equal(out, self.reference):
-                raise DifferentialCheckError(
-                    f"schedule [{schedule.describe()}] on backend {self.backend!r} "
-                    f"produced output differing from the schedule-blind reference "
-                    f"(max abs diff {float(np.max(np.abs(out - self.reference)))})"
-                )
-            verified = True
+        if not np.array_equal(out, self.reference):
+            raise DifferentialCheckError(
+                f"schedule [{schedule.describe()}] on backend {self.backend!r} "
+                f"produced output differing from the schedule-blind reference "
+                f"(max abs diff {float(np.max(np.abs(out - self.reference)))})"
+            )
         measurement = Measurement(
             schedule=schedule,
             seconds=best,
-            verified=verified,
+            verified=True,
             repeats_run=repeats_run,
             aborted=aborted,
         )

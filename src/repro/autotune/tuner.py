@@ -34,13 +34,18 @@ import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.autotune.space import ScheduleSpace
 from repro.autotune.techniques import DEFAULT_TECHNIQUES, Technique
 from repro.halide.schedule import Schedule
 
 Objective = Callable[[Schedule], float]
+
+# The bandit's two constants: the chance of trying a random technique
+# instead of the best recent one, and how many recent rewards rate it.
+_EXPLORATION_RATE = 0.25
+_REWARD_WINDOW = 20
 
 
 @dataclass
@@ -74,15 +79,12 @@ class AutotuneResult:
 
 
 class MultiArmedBanditTuner:
-    """Epsilon-greedy bandit over an ensemble of search techniques."""
+    """Epsilon-greedy bandit over the ``DEFAULT_TECHNIQUES`` ensemble."""
 
     def __init__(
         self,
         space: ScheduleSpace,
         objective: Objective,
-        techniques: Optional[Sequence[Technique]] = None,
-        epsilon: float = 0.25,
-        window: int = 20,
         seed: int = 0,
         legality=None,
     ):
@@ -100,21 +102,19 @@ class MultiArmedBanditTuner:
         """
         self.space = space
         self.objective = objective
-        self.techniques = list(techniques) if techniques else [factory() for factory in DEFAULT_TECHNIQUES]
-        self.epsilon = epsilon
-        self.window = window
+        self.techniques = [factory() for factory in DEFAULT_TECHNIQUES]
         self.rng = random.Random(seed)
         self.legality = legality
         self._recent_rewards: Dict[str, List[float]] = {t.name: [] for t in self.techniques}
 
     # -- bandit -----------------------------------------------------------
     def _pick_technique(self) -> Technique:
-        if self.rng.random() < self.epsilon:
+        if self.rng.random() < _EXPLORATION_RATE:
             return self.rng.choice(self.techniques)
         best_rate = -1.0
         best_technique = self.techniques[0]
         for technique in self.techniques:
-            rewards = self._recent_rewards[technique.name][-self.window:]
+            rewards = self._recent_rewards[technique.name][-_REWARD_WINDOW:]
             rate = sum(rewards) / len(rewards) if rewards else 0.5
             if rate > best_rate:
                 best_rate = rate

@@ -3,10 +3,10 @@
 For every translated kernel STNG replaces the original loop nest with a
 call into the generated Halide object and emits glue code that converts
 loop bounds and Fortran arrays into Halide buffers with the right
-logical bounds.  The user only has to define one preprocessor macro;
-when it is undefined the original loops are kept.  We reproduce the
-text generation so examples and tests can inspect the integration
-artifacts.
+logical bounds.  The user only has to define one preprocessor macro,
+``STNG_USE_HALIDE``; when it is undefined the original loops are kept.
+We reproduce the text generation so examples and tests can inspect the
+integration artifacts.
 """
 
 from __future__ import annotations
@@ -110,11 +110,11 @@ def _print(expr: sx.Expr) -> str:
     raise GlueGenerationError(f"cannot print bound expression {expr!r}")
 
 
-def emit_fortran_glue(kernel: Kernel, stencils: Sequence[GeneratedStencil], macro: str = "STNG_USE_HALIDE") -> str:
+def emit_fortran_glue(kernel: Kernel, stencils: Sequence[GeneratedStencil]) -> str:
     """Generate the Fortran wrapper that dispatches to the Halide kernels."""
     lines: List[str] = []
     lines.append(f"! Generated by STNG for kernel {kernel.name}")
-    lines.append(f"#ifdef {macro}")
+    lines.append("#ifdef STNG_USE_HALIDE")
     lines.append(f"subroutine {kernel.name}_halide({', '.join(kernel.params)})")
     lines.append("  use iso_c_binding")
     lines.append("  implicit none")

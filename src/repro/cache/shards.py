@@ -76,6 +76,24 @@ _SAFE_PREFIX = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 _SHARD_WIDTH = 1
 
 
+def heal_torn_tail(path: Path) -> None:
+    """Ensure a JSON-lines log ends in a newline before appending after a crash.
+
+    A writer killed mid-append leaves a partial last line; without the
+    newline the next record would be written onto its end and both
+    lines would be undecodable.  Call it under the log's append lock.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            torn = handle.read(1) != b"\n"
+    except (OSError, ValueError):
+        return  # missing or empty file: nothing to heal
+    if torn:
+        with open(path, "ab") as handle:
+            handle.write(b"\n")
+
+
 def shard_prefix(key: str, width: int = 2) -> str:
     """The shard bucket of ``key``: its first ``width`` characters.
 
@@ -230,19 +248,6 @@ class ShardedStore:
             separators=(",", ":"),
         )
 
-    @staticmethod
-    def _heal_torn_tail(path: Path) -> None:
-        """Ensure the log ends in a newline before appending after a crash."""
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                torn = handle.read(1) != b"\n"
-        except (OSError, ValueError):
-            return  # missing or empty file: nothing to heal
-        if torn:
-            with open(path, "ab") as handle:
-                handle.write(b"\n")
-
     def append(self, entries: Mapping[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
         """Append ``entries`` to their shards; returns the *unpersisted* rest.
 
@@ -277,7 +282,7 @@ class ShardedStore:
                 continue
             try:
                 faultinject.fire("shard-append", name)
-                self._heal_torn_tail(path)
+                heal_torn_tail(path)
                 lines = "".join(
                     self._encode_record(fp, entry) + "\n"
                     for fp, entry in group.items()

@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
 from repro.ir import nodes as ir
-from repro.cache.artifacts import ArtifactStore
 from repro.cache.fingerprint import CODE_VERSION, fingerprint_synthesis
 from repro.cache.serialize import CachePayloadError, result_from_payload, result_to_payload
 from repro.cache.shards import ShardedStore
@@ -99,13 +98,6 @@ class SynthesisCache:
         Also record definitive synthesis failures so warm runs skip the
         (typically slowest) exhausted-space kernels.  Set to ``False``
         to re-attempt failed kernels on every run.
-    artifact_dir:
-        Optional directory for the compiled-artifact side store
-        (:class:`~repro.cache.artifacts.ArtifactStore`): native-backend
-        shared objects content-addressed next to the synthesis
-        outcomes, so a warm run loads ``.so`` files instead of
-        re-compiling.  ``None`` (the default) keeps native compilation
-        per-process only.
     lock_timeout:
         Per-shard lock patience of a save (see :meth:`save`).
     """
@@ -116,16 +108,12 @@ class SynthesisCache:
         code_version: str = CODE_VERSION,
         autosave: bool = True,
         cache_failures: bool = True,
-        artifact_dir: "os.PathLike[str] | str | None" = None,
         lock_timeout: float = 10.0,
     ):
         self.path = Path(path) if path is not None else None
         self.code_version = code_version
         self.autosave = autosave
         self.cache_failures = cache_failures
-        self.artifacts: Optional[ArtifactStore] = (
-            ArtifactStore(artifact_dir) if artifact_dir is not None else None
-        )
         self.hits = 0
         self.misses = 0
         self._entries: Dict[str, Dict[str, Any]] = {}

@@ -93,11 +93,6 @@ class CandidateReport:
     candidates: List[Candidate] = field(default_factory=list)
     rejections: List[Rejection] = field(default_factory=list)
 
-    @property
-    def num_flagged(self) -> int:
-        """Loops flagged for analysis (candidates plus rejected loop nests)."""
-        return len(self.candidates) + len(self.rejections)
-
 
 # ---------------------------------------------------------------------------
 # Filtering helpers
@@ -239,11 +234,11 @@ def check_loop(loop: DoLoop, proc: Procedure) -> List[str]:
     return reasons
 
 
-def identify_candidates(program: Program, merge_consecutive: bool = True) -> CandidateReport:
+def identify_candidates(program: Program) -> CandidateReport:
     """Identify candidate fragments across every procedure in ``program``.
 
     Consecutive top-level loops that each pass the filter are merged
-    into one candidate fragment when ``merge_consecutive`` is set.
+    into one candidate fragment.
     """
     report = CandidateReport()
     for proc in program.procedures:
@@ -254,13 +249,8 @@ def identify_candidates(program: Program, merge_consecutive: bool = True) -> Can
             nonlocal index
             if not pending:
                 return
-            if merge_consecutive:
-                report.candidates.append(Candidate(proc, list(pending), index))
-                index += 1
-            else:
-                for loop in pending:
-                    report.candidates.append(Candidate(proc, [loop], index))
-                    index += 1
+            report.candidates.append(Candidate(proc, list(pending), index))
+            index += 1
             pending.clear()
 
         for stmt in proc.body:

@@ -21,9 +21,7 @@ package provides the pieces the pipeline needs:
   executes a (Func, Schedule) pair for real, bit-identical to the
   reference;
 * :mod:`repro.halide.cppgen` — emission of the C++ Halide source text
-  the paper's Figure 1(d) shows;
-* :mod:`repro.halide.gpu` — the GPU (K80-class) execution model used by
-  the portability experiment.
+  the paper's Figure 1(d) shows.
 
 Performance numbers come from two places: the analytical machine models
 in :mod:`repro.perfmodel` (deterministic, used for the Table 1 columns)

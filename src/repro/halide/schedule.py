@@ -100,9 +100,6 @@ class Schedule:
     def with_order(self, order: Tuple[int, ...]) -> "Schedule":
         return replace(self, dim_order=tuple(order))
 
-    def with_gpu(self, block: Tuple[int, int] = (16, 16)) -> "Schedule":
-        return replace(self, gpu=True, gpu_block=block)
-
     def with_inline(self) -> "Schedule":
         return replace(self, inline=True)
 

@@ -144,11 +144,6 @@ def written_cells(kernel: Kernel) -> List[WriteSite]:
     return sites
 
 
-def contains_conditionals(kernel: Kernel) -> bool:
-    """True when any statement in the kernel is an ``if``."""
-    return any(isinstance(s, If) for s in iter_statements(kernel.body))
-
-
 def is_perfect_nest(kernel: Kernel) -> bool:
     """True when the kernel is a single perfectly-nested loop nest.
 

@@ -294,9 +294,3 @@ class Kernel:
             if decl.name == name:
                 return decl
         raise KeyError(f"no array named {name!r} in kernel {self.name}")
-
-    def has_array(self, name: str) -> bool:
-        return any(decl.name == name for decl in self.arrays)
-
-    def scalar_names(self) -> List[str]:
-        return [decl.name for decl in self.scalars]

@@ -90,7 +90,7 @@ XEON_NODE = MachineModel(
 
 @dataclass(frozen=True)
 class GPUModelSpec:
-    """K80-class accelerator parameters (also used by repro.halide.gpu)."""
+    """K80-class accelerator parameters."""
 
     name: str
     peak_gflops: float

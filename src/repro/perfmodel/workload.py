@@ -42,10 +42,6 @@ class KernelWorkload:
         # one load per read plus one store per point, double precision
         return (self.loads_per_point + 1.0) * 8.0 * self.points
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        return self.flops / max(self.bytes_moved, 1.0)
-
 
 DEFAULT_POINTS_3D = 256 ** 3
 DEFAULT_POINTS_2D = 4096 ** 2

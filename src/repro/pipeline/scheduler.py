@@ -69,6 +69,18 @@ class BatchJob:
     points: Optional[int]
     reduction_like: bool
 
+    def lift(self, options: PipelineOptions, cache: Optional[SynthesisCache]) -> List[KernelReport]:
+        """Lift this case with the plain sequential pipeline."""
+        reports = STNGPipeline(options, cache=cache).lift_source(
+            self.source,
+            suite=self.suite,
+            stencil_flags={self.procedure: self.is_stencil},
+            points=self.points,
+        )
+        for report in reports:
+            report.name = self.name
+        return reports
+
 
 @dataclass(frozen=True)
 class KernelJob:
@@ -90,6 +102,17 @@ class KernelJob:
     @property
     def name(self) -> str:
         return getattr(self.kernel, "name", "")
+
+    def lift(self, options: PipelineOptions, cache: Optional[SynthesisCache]) -> List[KernelReport]:
+        """Lift this kernel with the plain sequential pipeline."""
+        report = STNGPipeline(options, cache=cache).lift_kernel(
+            self.kernel,
+            suite=self.suite,
+            is_stencil=self.is_stencil,
+            points=self.points,
+            reduction_like=self.reduction_like,
+        )
+        return [report]
 
 
 @dataclass
@@ -138,20 +161,6 @@ def jobs_from_cases(cases: Sequence[KernelCase]) -> List[BatchJob]:
     ]
 
 
-def _lift_job(job: BatchJob, options: PipelineOptions, cache: Optional[SynthesisCache]) -> List[KernelReport]:
-    """Lift one job with the plain sequential pipeline (shared by both paths)."""
-    pipeline = STNGPipeline(options, cache=cache)
-    reports = pipeline.lift_source(
-        job.source,
-        suite=job.suite,
-        stencil_flags={job.procedure: job.is_stencil},
-        points=job.points,
-    )
-    for report in reports:
-        report.name = job.name
-    return reports
-
-
 def lift_cases_sequential(
     cases: Sequence[KernelCase],
     options: Optional[PipelineOptions] = None,
@@ -161,7 +170,7 @@ def lift_cases_sequential(
     options = options or PipelineOptions()
     reports: List[KernelReport] = []
     for job in jobs_from_cases(cases):
-        reports.extend(_lift_job(job, options, cache))
+        reports.extend(job.lift(options, cache))
     return reports
 
 
@@ -189,8 +198,8 @@ def _worker_init(
     _WORKER_CACHE = cache
 
 
-def _worker_lift_job(
-    job: BatchJob,
+def _worker_lift(
+    job: "BatchJob | KernelJob",
     options_payload: Dict[str, Any],
 ) -> Tuple[int, List[KernelReport], Dict[str, Dict[str, Any]], int, int]:
     """Process-pool entry point: lift one job, return reports + new cache entries."""
@@ -199,37 +208,7 @@ def _worker_lift_job(
     cache = _WORKER_CACHE
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
-    reports = _lift_job(job, options, cache)
-    new_entries = cache.drain_new_entries() if cache is not None else {}
-    hits = cache.hits - hits_before if cache is not None else 0
-    misses = cache.misses - misses_before if cache is not None else 0
-    return job.index, reports, new_entries, hits, misses
-
-
-def _lift_kernel_job(job: KernelJob, options: PipelineOptions, cache: Optional[SynthesisCache]) -> List[KernelReport]:
-    """Lift one pre-lowered kernel with the plain sequential pipeline."""
-    pipeline = STNGPipeline(options, cache=cache)
-    report = pipeline.lift_kernel(
-        job.kernel,
-        suite=job.suite,
-        is_stencil=job.is_stencil,
-        points=job.points,
-        reduction_like=job.reduction_like,
-    )
-    return [report]
-
-
-def _worker_lift_kernel_job(
-    job: KernelJob,
-    options_payload: Dict[str, Any],
-) -> Tuple[int, List[KernelReport], Dict[str, Dict[str, Any]], int, int]:
-    """Process-pool entry point for :class:`KernelJob` units."""
-    faultinject.fire("worker-job", job.name)
-    options = PipelineOptions(**options_payload)
-    cache = _WORKER_CACHE
-    hits_before = cache.hits if cache is not None else 0
-    misses_before = cache.misses if cache is not None else 0
-    reports = _lift_kernel_job(job, options, cache)
+    reports = job.lift(options, cache)
     new_entries = cache.drain_new_entries() if cache is not None else {}
     hits = cache.hits - hits_before if cache is not None else 0
     misses = cache.misses - misses_before if cache is not None else 0
@@ -311,7 +290,7 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def lift_cases(self, cases: Sequence[KernelCase]) -> BatchResult:
         """Lift every case on the pool; reports come back in submission order."""
-        return self._run_jobs(jobs_from_cases(cases), _worker_lift_job)
+        return self._run_jobs(jobs_from_cases(cases))
 
     def lift_kernels(self, jobs: Sequence[KernelJob]) -> BatchResult:
         """Lift pre-lowered IR kernels on the pool (whole-application path).
@@ -319,9 +298,9 @@ class BatchScheduler:
         Same cache discipline and deterministic submission-order
         aggregation as :meth:`lift_cases`; one report per job.
         """
-        return self._run_jobs(list(jobs), _worker_lift_kernel_job)
+        return self._run_jobs(list(jobs))
 
-    def _run_jobs(self, jobs, worker) -> BatchResult:
+    def _run_jobs(self, jobs) -> BatchResult:
         """Fan jobs over the pool under the fault policy; save once, always.
 
         The loop keeps at most ``pool_size`` jobs in flight (so a
@@ -412,7 +391,7 @@ class BatchScheduler:
                         continue
                     pending.remove(state)
                     try:
-                        future = pool.submit(worker, state.job, options_payload)
+                        future = pool.submit(_worker_lift, state.job, options_payload)
                     except Exception:
                         # The pool died between waits; re-queue uncharged.
                         pending.append(state)

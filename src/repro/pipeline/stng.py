@@ -81,12 +81,10 @@ class PipelineOptions:
     ``measure_backend`` accepts ``"codegen"``, ``"native"`` (compiled
     C, see :mod:`repro.native`) and ``"auto"`` (native when a C
     toolchain is present); any other name raises ``ValueError`` here,
-    before any synthesis.  ``artifact_dir``
-    optionally points the native backend at a shared compiled-artifact
-    directory so warm pipeline runs load cached ``.so`` files instead
-    of re-compiling; the :class:`MeasuredPerformance.backend` field
-    records the backend that actually ran (native falls back to
-    codegen when unavailable).
+    before any synthesis.  The :class:`MeasuredPerformance.backend`
+    field records the backend that actually ran (native falls back to
+    codegen when unavailable).  Each measured schedule is timed once
+    after one warm-up run.
 
     ``threads`` sets the native worker-thread count used for measured
     runs and substituted execution (``None`` → the process default,
@@ -111,8 +109,6 @@ class PipelineOptions:
     measure_backend: str = "codegen"
     measure_budget: int = 12
     measure_points: int = 9216
-    measure_repeats: int = 1
-    artifact_dir: Optional[str] = None
     threads: Optional[int] = None
     schedule_dir: Optional[str] = None
 
@@ -457,7 +453,9 @@ class STNGPipeline:
                 machine_fingerprint(),
                 {
                     "budget": self.options.measure_budget,
-                    "repeats": self.options.measure_repeats,
+                    # One timed run per schedule; the entry keeps the
+                    # keys of stores tuned earlier valid.
+                    "repeats": 1,
                     "points": self.options.measure_points,
                     "seed": self.options.seed,
                     "threads": threads,
@@ -493,19 +491,12 @@ class STNGPipeline:
             for image in func.inputs()
         }
         params = {param.name: float(rng.integers(1, 4)) for param in func.params()}
-        artifacts = None
-        if self.options.artifact_dir is not None:
-            from repro.cache.artifacts import ArtifactStore
-
-            artifacts = ArtifactStore(self.options.artifact_dir)
         objective = MeasuredObjective(
             func,
             domain,
             inputs,
             params=params,
             backend=self.options.measure_backend,
-            repeats=self.options.measure_repeats,
-            artifacts=artifacts,
             threads=self.options.threads,
         )
         from repro.analysis.legality import ScheduleChecker

@@ -19,7 +19,7 @@ structure around them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.symbolic.expr import ArrayCell, Call, Const, Expr, Sym
 
@@ -172,16 +172,6 @@ class Invariant:
 # Structural helpers shared by the synthesizer and the restriction checker
 # ---------------------------------------------------------------------------
 
-def rhs_input_terms(rhs: Expr) -> List[ArrayCell]:
-    """All array reads appearing in a right-hand side expression."""
-    return [node for node in rhs.walk() if isinstance(node, ArrayCell)]
-
-
-def rhs_mentions_array(rhs: Expr, array: str) -> bool:
-    """True when ``rhs`` reads the given array."""
-    return any(node.array == array for node in rhs.walk() if isinstance(node, ArrayCell))
-
-
 def rhs_has_non_output_term(
     rhs: Expr,
     output_arrays: Iterable[str],
@@ -201,20 +191,3 @@ def rhs_has_non_output_term(
         if isinstance(node, Sym) and node.name not in quantified:
             return True
     return False
-
-
-def substitute_bounds(constraint: QuantifiedConstraint, mapping: Dict[str, Expr]) -> QuantifiedConstraint:
-    """Substitute free symbols inside the bounds of a quantified constraint."""
-    from repro.symbolic.simplify import substitute
-
-    new_bounds = tuple(
-        Bound(
-            var=b.var,
-            lower=substitute(b.lower, mapping),
-            upper=substitute(b.upper, mapping),
-            lower_strict=b.lower_strict,
-            upper_strict=b.upper_strict,
-        )
-        for b in constraint.bounds
-    )
-    return QuantifiedConstraint(new_bounds, constraint.out_eq, constraint.guard)

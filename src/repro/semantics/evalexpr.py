@@ -22,7 +22,7 @@ from typing import Dict, Mapping, Optional
 
 from repro.ir import nodes as ir
 from repro.semantics import numeric
-from repro.semantics.numeric import EvalError, coerce_number, compare_values
+from repro.semantics.numeric import EvalError, compare_values
 from repro.semantics.state import (
     State,
     Value,
@@ -151,13 +151,6 @@ def eval_ir_condition(expr: ir.ValueExpr, state: State) -> bool:
     if isinstance(value, Expr):
         raise EvalError("condition evaluated to a symbolic value")
     return bool(value)
-
-
-# ``compare_values`` and ``_force_number`` live in
-# :mod:`repro.semantics.numeric` (as ``compare_values``/``coerce_number``)
-# so that the interpreted and compiled evaluators share one
-# implementation; they are re-exported here for compatibility.
-_force_number = coerce_number
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ the dedicated machinery in :mod:`repro.synthesis.conditionals`).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.ir import nodes as ir
 from repro.semantics.evalexpr import EvalError, eval_ir_condition, eval_ir_expr
@@ -110,15 +110,6 @@ def execute_statement(stmt: ir.Stmt, state: State, max_iterations: int = MAX_ITE
             execute_statement(stmt.else_body, state, max_iterations)
         return state
     raise ExecutionError(f"cannot execute statement {stmt!r}")
-
-
-def execute_block_straightline(statements: Iterable[ir.Stmt], state: State) -> State:
-    """Execute a sequence of non-loop statements (used by the VC generator)."""
-    for stmt in statements:
-        if isinstance(stmt, ir.Loop):
-            raise ExecutionError("straight-line executor received a loop")
-        execute_statement(stmt, state)
-    return state
 
 
 def execute_kernel(kernel: ir.Kernel, state: Optional[State] = None, max_iterations: int = MAX_ITERATIONS) -> State:

@@ -140,11 +140,6 @@ class State:
             self.arrays[name] = fresh_symbolic_array(name)
         return self.arrays[name]
 
-    def ensure_array(self, name: str, factory: Callable[[], ArrayValue]) -> ArrayValue:
-        if name not in self.arrays:
-            self.arrays[name] = factory()
-        return self.arrays[name]
-
 
 # ---------------------------------------------------------------------------
 # Value arithmetic with concrete/symbolic dispatch

@@ -42,6 +42,7 @@ other, which is exactly the dedup and run-log key.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Any, Dict, Mapping, Optional
@@ -57,7 +58,7 @@ DEFAULT_PORT = 8571
 # PipelineOptions fields a request may override: the synthesis-relevant
 # subset (they change what is lifted or proved, and they are all part of
 # the synthesis fingerprint's options signature).  Execution-side knobs
-# (measure backends, artifact/schedule directories, thread counts) stay
+# (measure backends, the schedule directory, thread counts) stay
 # server-controlled — a client must not repoint server storage.
 OPTION_FIELDS = frozenset(
     {
@@ -119,32 +120,8 @@ def options_from_request(
 ) -> PipelineOptions:
     """Build the job's :class:`PipelineOptions`: server base + overrides."""
     fields = normalize_options(options)
-    base_options = base or PipelineOptions()
-    merged = {
-        name: getattr(base_options, name)
-        for name in (
-            "seed",
-            "trials",
-            "autotune_budget",
-            "max_candidates",
-            "verifier_environments",
-            "synthesis_timeout",
-            "compile_options",
-            "inductive",
-            "max_proof_attempts",
-            "measure",
-            "measure_backend",
-            "measure_budget",
-            "measure_points",
-            "measure_repeats",
-            "artifact_dir",
-            "threads",
-            "schedule_dir",
-        )
-    }
-    merged.update(fields)
     try:
-        return PipelineOptions(**merged)
+        return dataclasses.replace(base or PipelineOptions(), **fields)
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"invalid options: {exc}") from None
 

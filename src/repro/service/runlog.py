@@ -12,9 +12,10 @@ identical lift — appends exactly one line::
 ``cache_misses == 0`` is the load-bearing bit: it *proves* a warm
 request performed zero synthesis, which is what the service smoke test
 and the run-database ROADMAP item both key on.  Appends are serialized
-under a crash-reclaimable :class:`~repro.cache.locks.FileLock` and the
-reader is line-tolerant (a torn tail costs one record, not the log), so
-many service processes can share one log file.
+under a crash-reclaimable :class:`~repro.cache.locks.FileLock`, a torn
+tail left by a killed writer is closed with a newline before the next
+append, and the reader is line-tolerant, so a torn tail costs one
+record, not the log, and many service processes can share one log file.
 
 Fault hook: ``runlog-append`` fires before each append (see
 :mod:`repro.testing.faultinject`).
@@ -30,6 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.cache.integrity import CacheIntegrityWarning
 from repro.cache.locks import FileLock, LockTimeout
+from repro.cache.shards import heal_torn_tail
 from repro.testing import faultinject
 
 RUNLOG_FORMAT = "lift-runlog-1"
@@ -68,6 +70,7 @@ class RunLog:
             return False
         try:
             faultinject.fire("runlog-append", stamped.get("fingerprint", ""))
+            heal_torn_tail(self.path)
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(line)
         finally:
@@ -92,9 +95,6 @@ class RunLog:
             if isinstance(record, dict):
                 records.append(record)
         return records
-
-    def for_fingerprint(self, fingerprint: str) -> List[Dict[str, Any]]:
-        return [r for r in self.read_all() if r.get("fingerprint") == fingerprint]
 
     def stats(self) -> Dict[str, Any]:
         records = self.read_all()

@@ -95,11 +95,6 @@ def _key_part(value):
 _INTERN_MAX = 1 << 21
 
 
-def intern_table_size() -> int:
-    """Number of live interned expression nodes (diagnostic)."""
-    return len(Expr._INTERN)
-
-
 def clear_intern_table() -> None:
     """Drop the intern table (tests / long-running batch hygiene).
 

@@ -47,10 +47,6 @@ from repro.templates.writes import WriteSiteInfo
 from repro.vcgen.hoare import LoopInfo, VCProblem
 
 
-class InvariantConstructionError(Exception):
-    """Raised when the loop structure defeats the restricted invariant shapes."""
-
-
 def _quant_var(loop_id: str) -> str:
     """Name of the quantified variable standing for one loop's counter."""
     return "w_" + loop_id.replace("#", "_")

@@ -23,7 +23,7 @@ speed-up it buys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.predicates.language import Invariant, Postcondition, QuantifiedConstraint
 from repro.symbolic.expr import ArrayCell, Const, Expr, Sym
@@ -103,27 +103,3 @@ def skolem_radius(post: Postcondition, invariants: Optional[Dict[str, Invariant]
     if not witnesses:
         return 0
     return max(w.radius() for w in witnesses)
-
-
-def restrict_assignments(
-    assignments: Iterable[Dict[str, int]],
-    focus: Dict[str, int],
-    radius: int,
-) -> List[Dict[str, int]]:
-    """Keep only quantifier assignments within ``radius`` of a focus point.
-
-    This is the evaluation-level analogue of replacing ``exists v`` by
-    ``exists v in f_S(x)``: rather than considering every instantiation
-    of a premise, only those near the point the conclusion talks about
-    are retained.
-    """
-    kept: List[Dict[str, int]] = []
-    for assignment in assignments:
-        close = True
-        for var, value in assignment.items():
-            if var in focus and abs(value - focus[var]) > radius:
-                close = False
-                break
-        if close:
-            kept.append(assignment)
-    return kept

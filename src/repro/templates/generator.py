@@ -298,15 +298,6 @@ def _prefer_symbolic(candidates: List[Expr]) -> List[Expr]:
     return symbolic + constants
 
 
-def _offset_candidates_with_inputs(
-    values: Sequence[int],
-    run_envs: Sequence[Dict[str, int]],
-) -> List[Expr]:
-    """Expressions of the form ``intvar + c`` or ``c`` matching ``values``."""
-    coords = [dict(env) for env in run_envs]
-    return index_hole_candidates([const(v) for v in values], coords, run_envs)
-
-
 # ---------------------------------------------------------------------------
 # Scalar equalities for invariants
 # ---------------------------------------------------------------------------

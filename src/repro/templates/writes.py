@@ -105,20 +105,3 @@ def analyze_write_sites(kernel: ir.Kernel) -> List[WriteSiteInfo]:
         else:
             visit(stmt, (), nest)
     return sites
-
-
-def sites_for_array(sites: List[WriteSiteInfo], array: str) -> List[WriteSiteInfo]:
-    """Write sites targeting one output array."""
-    return [site for site in sites if site.array == array]
-
-
-def nest_of_array(sites: List[WriteSiteInfo], array: str) -> int:
-    """The top-level nest index in which an output array is written.
-
-    Raises ``ValueError`` when the array is written from more than one
-    top-level nest — the invariant builder treats that case separately.
-    """
-    nests = {site.nest_index for site in sites_for_array(sites, array)}
-    if len(nests) != 1:
-        raise ValueError(f"array {array!r} is written from {len(nests)} different loop nests")
-    return next(iter(nests))

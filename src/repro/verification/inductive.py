@@ -102,9 +102,6 @@ class InductiveOutcome:
     def proved(self) -> bool:
         return self.verdict is Verdict.PROVED
 
-    def failed_clauses(self) -> List[ClauseProof]:
-        return [c for c in self.clauses if not c.proved]
-
 
 class _Budget(Exception):
     """Raised internally when a clause's proof-search budget is exhausted."""

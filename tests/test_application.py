@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.liveness import scalars_live_after
 from repro.application import (
     FortranInterpreter,
     InterpreterError,
@@ -16,6 +17,7 @@ from repro.application import (
     translate_application,
 )
 from repro.cache.store import SynthesisCache
+from repro.frontend.ast import Assignment, DoLoop
 from repro.frontend.parser import parse_source
 from repro.halide import HalideError
 from repro.pipeline.report import report_signature
@@ -391,31 +393,33 @@ class TestDifferentialExecution:
         )
         assert report.all_identical
 
-    def test_redefined_scalar_temporary_lifts_under_precise_liveness(self):
+    def test_redefined_scalar_temporary_lifts_under_precise_dataflow(self):
         """The accelerate kernel is the liveness pass's headline win.
 
         ``stepbymass`` is mentioned after the first loop nest — but only
         to be *redefined* before any read, so its post-loop value is
-        unobservable.  The old mention-based heuristic demoted the site;
-        the dataflow pass (:mod:`repro.analysis.liveness`) proves it
-        dead and the site lifts.
+        unobservable.  A mention-based check would demote the site; the
+        dataflow pass (:mod:`repro.analysis.liveness`) proves it dead
+        and the site lifts.
         """
         app = cloverleaf_mini_app()
         program = parse_source(app.source)
-        precise = scan_application(program)
-        legacy = scan_application(program, precise_liveness=False)
-        precise_by_name = {site.name: site for site in precise.sites}
-        legacy_by_name = {site.name: site for site in legacy.sites}
-        assert precise_by_name["accelerate_loop0"].liftable
-        assert not legacy_by_name["accelerate_loop0"].liftable
-        assert any(
-            "scalar temporaries live" in reason and "stepbymass" in reason
-            for reason in legacy_by_name["accelerate_loop0"].reasons
+        accelerate = next(
+            proc for proc in program.procedures if proc.name == "accelerate"
         )
-        # Everything the heuristic lifted, the dataflow pass still lifts.
-        legacy_lifted = {s.name for s in legacy.liftable_sites}
-        precise_lifted = {s.name for s in precise.liftable_sites}
-        assert legacy_lifted < precise_lifted
+        first_nest_end = next(
+            position + 1
+            for position, stmt in enumerate(accelerate.body)
+            if isinstance(stmt, DoLoop)
+        )
+        later = accelerate.body[first_nest_end:]
+        assert any(
+            isinstance(stmt, Assignment) and stmt.target.name == "stepbymass"
+            for stmt in later
+        )
+        assert not scalars_live_after(accelerate, first_nest_end).is_live("stepbymass")
+        by_name = {site.name: site for site in scan_application(program).sites}
+        assert by_name["accelerate_loop0"].liftable
 
     def test_accelerate_sites_substitute_and_run_bitwise(self, bundles):
         bundle = bundles["cloverleaf_mini"]

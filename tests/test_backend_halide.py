@@ -12,7 +12,6 @@ from repro.backend.halidegen import HalideGenerationError, postcondition_to_func
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
 from repro.halide import Func, ImageParam, Schedule, Var, emit_cpp, realize
-from repro.halide.gpu import GPUModel
 from repro.halide.schedule import ScheduleError
 from repro.ir.flatten import flatten_kernel
 from repro.perfmodel import (
@@ -282,65 +281,3 @@ class TestPerfModels:
     @settings(max_examples=30, deadline=None)
     def test_peak_gflops_monotone(self, cores, vector):
         assert XEON_NODE.peak_gflops(cores, vector) <= XEON_NODE.peak_gflops(cores + 1, vector)
-
-    def test_gpu_model_object(self):
-        x, y = Var("x"), Var("y")
-        b = ImageParam("b", 2)
-        f = Func()
-        f[x, y] = b(x - 1, y) + b(x, y)
-        gpu = GPUModel()
-        assert gpu.total_time(f, 10**6, include_transfer=True) > gpu.total_time(
-            f, 10**6, include_transfer=False
-        )
-
-    def test_gpu_transfer_charges_per_array_footprints(self):
-        from repro.halide.gpu import input_footprints
-
-        x, y = Var("x"), Var("y")
-        b = ImageParam("b", 2)
-        c = ImageParam("c", 1)
-        f = Func()
-        f[x, y] = b(x - 1, y) + b(x + 1, y) + b(x, y) + c(y)
-        footprints = input_footprints(f, 100 * 100)
-        # b's halo is one cell on each side of x only; c is a 1-D table.
-        assert footprints["b"] == 102 * 100
-        assert footprints["c"] == 100
-        gpu = GPUModel()
-        seconds = gpu.transfer_time(f, 100 * 100)
-        expected = ((102 * 100 + 100 + 100 * 100) * 8) / (gpu.pcie_bandwidth_gbs * 1e9)
-        assert seconds == pytest.approx(expected)
-
-    def test_gpu_transfer_no_longer_charges_output_size_per_input(self):
-        # Before the fix every input cost `points` elements; a 1-D
-        # coefficient table read by a 2-D stencil must cost only its
-        # own extent.
-        x, y = Var("x"), Var("y")
-        b = ImageParam("b", 2)
-        c = ImageParam("c", 1)
-        f = Func()
-        f[x, y] = b(x, y) + c(x)
-        points = 64 * 64
-        flat_model = 2 * points + points  # two inputs at full size + output
-        gpu = GPUModel()
-        assert gpu.transfer_time(f, points) < flat_model * 8 / (gpu.pcie_bandwidth_gbs * 1e9)
-
-    def test_gpu_constant_plane_reads_do_not_widen_halo(self):
-        from repro.halide.gpu import input_footprints
-
-        x, y = Var("x"), Var("y")
-        b = ImageParam("b", 2)
-        f = Func()
-        f[x, y] = b(x, y) + b(x, 5)
-        footprints = input_footprints(f, 100 * 100)
-        # An absolute read of plane 5 adds one plane, not a 5-wide halo.
-        assert footprints["b"] == 100 * (100 + 1)
-
-    def test_gpu_transfer_output_points_override(self):
-        x = Var("x")
-        b = ImageParam("b", 1)
-        f = Func()
-        f[x] = b(x) * 2.0
-        gpu = GPUModel()
-        # Optional[int] default: omitting output_points must equal passing points.
-        assert gpu.transfer_time(f, 1000) == gpu.transfer_time(f, 1000, output_points=1000)
-        assert gpu.transfer_time(f, 1000, output_points=1) < gpu.transfer_time(f, 1000)

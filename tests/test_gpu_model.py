@@ -1,12 +1,15 @@
-"""Measured-ranking agreement for the GPU cost model (ROADMAP seed).
+"""Measured-ranking agreement for the GPU cost model, and the thread fit.
 
-The GPU backend is an analytical model (:mod:`repro.halide.gpu`), so it
-cannot be validated against device wall clock offline.  What *can* be
-checked is ordinal consistency: when the native CPU backend's measured
-timings (``native-dispatch.json``, published by the non-blocking
-benchmark job) say grid A is decisively slower than grid B, the model's
-predicted kernel times must rank the pair the same way — the model and
-the machine should at least agree on which workload is bigger.
+The GPU columns of Table 1 come from an analytical model
+(:data:`repro.perfmodel.compiler.HALIDE_GPU`), so it cannot be validated
+against device wall clock offline.  What *can* be checked is ordinal
+consistency: when the native CPU backend's measured timings
+(``native-dispatch.json``, published by the non-blocking benchmark job)
+say grid A is decisively slower than grid B, the model's predicted
+kernel times must rank the pair the same way — the model and the
+machine should at least agree on which workload is bigger.  The same
+artifact's thread-scaling rows must agree with its fitted parallel
+fraction.
 
 Pairs whose measured ratio sits under a noise floor are skipped: the
 small grids are dispatch-bound and sub-microsecond, where measured
@@ -28,7 +31,8 @@ import pytest
 
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
-from repro.halide.gpu import GPUModel
+from repro.perfmodel import workload_from_func
+from repro.perfmodel.compiler import HALIDE_GPU
 from repro.suites.registry import cases_for_suite
 
 # The measured ratio a grid pair must exceed before its ordering counts
@@ -65,7 +69,6 @@ def test_gpu_model_ranks_grids_like_measured_native_times():
     result = synthesize_kernel(kernel, seed=0, verifier_environments=1)
     func = postcondition_to_func(result.post)[0].func
 
-    model = GPUModel()
     rows = [r for r in payload["grids"] if r["native_seconds"] > 0]
     assert len(rows) >= 2, "artifact has too few timing rows to rank"
     dims = func.dimensions
@@ -75,8 +78,13 @@ def test_gpu_model_ranks_grids_like_measured_native_times():
         measured_ratio = large["native_seconds"] / small["native_seconds"]
         if max(measured_ratio, 1.0 / measured_ratio) <= NOISE_FLOOR:
             continue
-        predicted_small = model.kernel_time(func, small["grid"] ** dims)
-        predicted_large = model.kernel_time(func, large["grid"] ** dims)
+        predicted_small, predicted_large = (
+            HALIDE_GPU.runtime(
+                workload_from_func(func, kernel.name, row["grid"] ** dims),
+                include_transfer=False,
+            )
+            for row in (small, large)
+        )
         agree = (measured_ratio > 1.0) == (predicted_large > predicted_small)
         assert agree, (
             f"model ranks grids {small['grid']}/{large['grid']} against the "

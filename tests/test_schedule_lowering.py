@@ -521,7 +521,7 @@ class TestMeasuredAutotune:
             # mask the one-time cost.
             objective = MeasuredObjective(
                 func, domain, inputs, origins, params,
-                repeats=1, warmup=warmup, differential=True,
+                repeats=1, warmup=warmup,
             )
             real_build = objective._build
 

@@ -12,6 +12,7 @@ one synthesis" into a hard assertion rather than a timing argument.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -95,13 +96,18 @@ class TestProtocol:
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ServiceError, match="unknown options"):
-            normalize_options({"artifact_dir": "/tmp/evil"})
+            normalize_options({"schedule_dir": "/tmp/evil"})
 
     def test_options_overlay_server_base(self):
-        options = options_from_request({"seed": 9}, FAST)
+        # Server-side fields too: the request must not reset any of them.
+        base = dataclasses.replace(
+            FAST, measure=True, measure_budget=5, threads=3, schedule_dir="schedules"
+        )
+        options = options_from_request({"seed": 9}, base)
         assert options.seed == 9
-        assert options.verifier_environments == FAST.verifier_environments
-        assert options.inductive is FAST.inductive
+        for field in dataclasses.fields(PipelineOptions):
+            if field.name != "seed":
+                assert getattr(options, field.name) == getattr(base, field.name), field.name
 
     def test_whitelist_matches_pipeline_fields(self):
         fields = set(PipelineOptions.__dataclass_fields__)
@@ -351,6 +357,17 @@ class TestRunLog:
         with open(log.path, "a", encoding="utf-8") as handle:
             handle.write('{"torn": ')
         assert len(log.read_all()) == 1
+
+    def test_append_after_torn_tail_keeps_both_complete_records(self, tmp_path):
+        # A writer killed mid-append leaves a partial line with no
+        # newline; the next append must not be written onto its end.
+        log = RunLog(tmp_path / "runlog.jsonl")
+        log.append({"fingerprint": "a" * 64, "status": "done"})
+        with open(log.path, "a", encoding="utf-8") as handle:
+            handle.write('{"fingerprint": "b')
+        log.append({"fingerprint": "c" * 64, "status": "done"})
+        records = log.read_all()
+        assert [r["fingerprint"] for r in records] == ["a" * 64, "c" * 64]
 
     def test_injected_fault_raises_to_caller(self, tmp_path, monkeypatch):
         spec = write_spec(
