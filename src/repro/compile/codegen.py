@@ -20,13 +20,16 @@ Fidelity rules (checked by the equivalence test-suite):
 * closed subtrees are folded to constants at generation time through
   the interpreter itself; anything that would raise (division by a
   literal zero, unknown functions) is left unfolded so the error still
-  surfaces at evaluation time.
+  surfaces at evaluation time;
+* a dispatch branch is left out only when an operand's type already
+  rules it out at generation time (an exact ``int`` or a constant, see
+  ``_Emitter.ints``), so every branch that can run is kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.ir import nodes as ir
 from repro.semantics.evalexpr import _apply_func, eval_ir_expr, eval_sym_expr
@@ -101,6 +104,10 @@ class _Emitter:
         # Operand name -> compile-time value, for every constant bound;
         # any other operand name is a runtime temporary.
         self.consts: Dict[str, object] = {}
+        # Operand names known to hold an exact ``int`` wherever they are
+        # read: int literals, quantifier loop variables, temporaries
+        # after ``_emit_require_int`` and ``+``/``-``/``*`` on those.
+        self.ints: Set[str] = set()
         self._counter = 0
 
     def temp(self) -> str:
@@ -111,6 +118,8 @@ class _Emitter:
         """Bind a compile-time constant; small literals are inlined."""
         if type(value) is int or type(value) is bool or type(value) is str:
             name = repr(value)
+            if type(value) is int:
+                self.ints.add(name)
         else:
             self._counter += 1
             name = f"k{self._counter}"
@@ -135,8 +144,37 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 
 def _emit_require_int(em: _Emitter, var: str, context_name: str, depth: int) -> None:
+    """Coerce ``var`` in place; nothing to emit when it is a known int."""
+    if var in em.ints:
+        return
     em.emit(f"if type({var}) is not int:", depth)
     em.emit(f"{var} = require_int({var}, context={context_name})", depth + 1)
+    em.ints.add(var)
+
+
+def _emit_copy(em: _Emitter, var: str, depth: int) -> str:
+    """A fresh temporary holding ``var``; a copy of a known int is one."""
+    out = em.temp()
+    em.emit(f"{out} = {var}", depth)
+    if var in em.ints:
+        em.ints.add(out)
+    return out
+
+
+def _emit_index(em: _Emitter, var: str, context_name: str, depth: int) -> str:
+    """``var`` as an array index: itself when a known int, else a coerced copy."""
+    if var in em.ints:
+        return var
+    coerced = _emit_copy(em, var, depth)
+    _emit_require_int(em, coerced, context_name, depth)
+    return coerced
+
+
+def _never_expr(em: _Emitter, var: str) -> bool:
+    """True when ``var`` cannot hold an ``Expr``: a known int or a constant."""
+    if var in em.ints:
+        return True
+    return var in em.consts and not isinstance(em.consts[var], Expr)
 
 
 def _emit_array_load(
@@ -183,6 +221,8 @@ def _field_fast_path(em: _Emitter, op: str, left: str, right: str):
     """
     left_const = left in em.consts
     right_const = right in em.consts
+    if left in em.ints and not left_const or right in em.ints and not right_const:
+        return None  # a runtime int operand is never a field element
     if not left_const and not right_const:
         return (
             f"type({left}) is _Mod7 and type({right}) is _Mod7",
@@ -204,31 +244,54 @@ def _emit_binop(em: _Emitter, op: str, left: str, right: str, depth: int) -> str
     The symbolic branches call the smart constructors (``expr.add`` and
     friends) directly — exactly what ``value_add(a, b)`` reduces to via
     the operator sugar — skipping the ``__add__``/``as_expr`` frames.
+    Branches that cannot run for an operand's known type are left out:
+    ``+``, ``-`` and ``*`` on two known ints is one line, and a known
+    int or a constant never takes an ``isinstance(..., Expr)`` branch.
     """
     out = em.temp()
+    if op != "/" and left in em.ints and right in em.ints:
+        em.emit(f"{out} = {left} {op} {right}", depth)
+        em.ints.add(out)
+        return out
     ctor = {"+": "_x_add", "-": "_x_sub", "*": "_x_mul", "/": "_x_div"}[op]
-    fast = _field_fast_path(em, op, left, right) if op in {"+", "-", "*"} else None
+    # (test, body lines as (extra depth, line)); a None test is the final else.
+    branches = []
+    fast = _field_fast_path(em, op, left, right) if op != "/" else None
     if fast is not None:
         test, value = fast
-        em.emit(f"if {test}:", depth)
-        em.emit(f"{out} = _M7[({value}) % {_MOD7_MODULUS}]", depth + 1)
-        em.emit(f"elif isinstance({left}, Expr):", depth)
-    else:
-        em.emit(f"if isinstance({left}, Expr):", depth)
-    em.emit(f"if isinstance({right}, Expr):", depth + 1)
-    em.emit(f"{out} = {ctor}({left}, {right})", depth + 2)
-    em.emit("else:", depth + 1)
-    em.emit(f"{out} = {ctor}({left}, _as_expr({right}))", depth + 2)
-    em.emit(f"elif isinstance({right}, Expr):", depth)
-    em.emit(f"{out} = {ctor}(_as_expr({left}), {right})", depth + 1)
+        branches.append((test, [(0, f"{out} = _M7[({value}) % {_MOD7_MODULUS}]")]))
+    if not _never_expr(em, left):
+        if _never_expr(em, right):
+            body = [(0, f"{out} = {ctor}({left}, _as_expr({right}))")]
+        else:
+            body = [
+                (0, f"if isinstance({right}, Expr):"),
+                (1, f"{out} = {ctor}({left}, {right})"),
+                (0, "else:"),
+                (1, f"{out} = {ctor}({left}, _as_expr({right}))"),
+            ]
+        branches.append((f"isinstance({left}, Expr)", body))
+    if not _never_expr(em, right):
+        branches.append((f"isinstance({right}, Expr)", [(0, f"{out} = {ctor}(_as_expr({left}), {right})")]))
     if op == "/":
-        em.emit(f"elif isinstance({left}, int) and isinstance({right}, int):", depth)
-        em.emit(f"{out} = Fraction({left}, {right})", depth + 1)
-        em.emit("else:", depth)
-        em.emit(f"{out} = {left} / {right}", depth + 1)
+        exact = f"{out} = Fraction({left}, {right})"
+        if left in em.ints and right in em.ints:
+            branches.append((None, [(0, exact)]))
+        else:
+            branches.append((f"isinstance({left}, int) and isinstance({right}, int)", [(0, exact)]))
+            branches.append((None, [(0, f"{out} = {left} / {right}")]))
     else:
-        em.emit("else:", depth)
-        em.emit(f"{out} = {left} {op} {right}", depth + 1)
+        branches.append((None, [(0, f"{out} = {left} {op} {right}")]))
+    for position, (test, body) in enumerate(branches):
+        inner = depth + 1
+        if test is None and position == 0:
+            inner = depth
+        elif test is None:
+            em.emit("else:", depth)
+        else:
+            em.emit(f"{'elif' if position else 'if'} {test}:", depth)
+        for extra, line in body:
+            em.emit(line, inner + extra)
     return out
 
 
@@ -322,10 +385,7 @@ def _emit_sym_expr(em: _Emitter, expr: Expr, depth: int, scope=None) -> str:
         index_vars = []
         for index in expr.indices:
             var = _emit_sym_expr(em, index, depth, scope)
-            coerced = em.temp()
-            em.emit(f"{coerced} = {var}", depth)
-            _emit_require_int(em, coerced, context, depth)
-            index_vars.append(coerced)
+            index_vars.append(_emit_index(em, var, context, depth))
         return _emit_array_load(em, expr.array, index_vars, depth)
     if isinstance(expr, (Add, Sub, Mul, Div)):
         op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(expr)]
@@ -373,13 +433,9 @@ def _emit_quantifier_nest(em: _Emitter, bounds, depth: int, scope) -> int:
     """
     for bound in bounds:
         em.emit("try:", depth)
-        lower = _emit_sym_expr(em, bound.lower, depth + 1, scope)
-        low = em.temp()
-        em.emit(f"{low} = {lower}", depth + 1)
+        low = _emit_copy(em, _emit_sym_expr(em, bound.lower, depth + 1, scope), depth + 1)
         _emit_require_int(em, low, em.const("quantifier lower bound"), depth + 1)
-        upper = _emit_sym_expr(em, bound.upper, depth + 1, scope)
-        high = em.temp()
-        em.emit(f"{high} = {upper}", depth + 1)
+        high = _emit_copy(em, _emit_sym_expr(em, bound.upper, depth + 1, scope), depth + 1)
         _emit_require_int(em, high, em.const("quantifier upper bound"), depth + 1)
         em.emit("except (EvalError, TypeError) as exc:", depth)
         em.emit("raise PredicateEvalError(str(exc)) from exc", depth + 1)
@@ -387,6 +443,7 @@ def _emit_quantifier_nest(em: _Emitter, bounds, depth: int, scope) -> int:
         start = f"{low} + 1" if bound.lower_strict else low
         stop = high if bound.upper_strict else f"{high} + 1"
         em.emit(f"for {loop_var} in range({start}, {stop}):", depth)
+        em.ints.add(loop_var)
         scope[bound.var] = loop_var
         depth += 1
     return depth
@@ -434,10 +491,7 @@ def gen_quantified_fn(constraint) -> Callable:
     index_vars = []
     for index in out_eq.indices:
         var = _emit_sym_expr(em, index, depth + 1, scope)
-        coerced = em.temp()
-        em.emit(f"{coerced} = {var}", depth + 1)
-        _emit_require_int(em, coerced, context, depth + 1)
-        index_vars.append(coerced)
+        index_vars.append(_emit_index(em, var, context, depth + 1))
     loaded = _emit_array_load(em, out_eq.array, index_vars, depth + 1)
     em.emit(f"{actual} = {loaded}", depth + 1)
     rhs = _emit_sym_expr(em, out_eq.rhs, depth + 1, scope)
@@ -472,10 +526,7 @@ def gen_conjunct_store_fn(conjunct) -> Callable:
     index_vars = []
     for index in out_eq.indices:
         var = _emit_sym_expr(em, index, depth, scope)
-        coerced = em.temp()
-        em.emit(f"{coerced} = {var}", depth)
-        _emit_require_int(em, coerced, context, depth)
-        index_vars.append(coerced)
+        index_vars.append(_emit_index(em, var, context, depth))
     value = _emit_sym_expr(em, out_eq.rhs, depth, scope)
     name = em.const(out_eq.array)
     arr = em.temp()
@@ -509,10 +560,7 @@ def _emit_ir_expr(em: _Emitter, expr: ir.ValueExpr, depth: int) -> str:
         index_vars = []
         for index in expr.indices:
             var = _emit_ir_expr(em, index, depth)
-            coerced = em.temp()
-            em.emit(f"{coerced} = {var}", depth)
-            _emit_require_int(em, coerced, context, depth)
-            index_vars.append(coerced)
+            index_vars.append(_emit_index(em, var, context, depth))
         return _emit_array_load(em, expr.array, index_vars, depth)
     if isinstance(expr, ir.BinOp):
         if expr.op not in {"+", "-", "*", "/"}:
@@ -608,10 +656,7 @@ def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, snapshot: bool) -> None:
         index_vars = []
         for index in stmt.indices:
             var = _emit_ir_expr(em, index, depth)
-            coerced = em.temp()
-            em.emit(f"{coerced} = {var}", depth)
-            _emit_require_int(em, coerced, context, depth)
-            index_vars.append(coerced)
+            index_vars.append(_emit_index(em, var, context, depth))
         value = _emit_ir_expr(em, stmt.value, depth)
         name = em.const(stmt.array)
         arr = em.temp()
@@ -626,12 +671,8 @@ def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, snapshot: bool) -> None:
             em.emit(f"raise ExecutionError({message})", depth)
             return
         counter = em.const(stmt.counter)
-        lower = _emit_ir_expr(em, stmt.lower, depth)
-        value = em.temp()
-        em.emit(f"{value} = {lower}", depth)
-        upper = _emit_ir_expr(em, stmt.upper, depth)
-        bound = em.temp()
-        em.emit(f"{bound} = {upper}", depth)
+        value = _emit_copy(em, _emit_ir_expr(em, stmt.lower, depth), depth)
+        bound = _emit_copy(em, _emit_ir_expr(em, stmt.upper, depth), depth)
         if snapshot:
             # The reachable-state collector coerces with the default
             # context and applies no iteration budget.

@@ -17,7 +17,9 @@ Solving one problem is classic CEGIS:
    concrete example states (cheap inductive check);
 3. for a surviving candidate, search for a counterexample with the
    random concrete checker; if one is found it joins the example set
-   and enumeration continues;
+   and enumeration continues (with the inductive prover, once a
+   bounded-verified fallback exists, a candidate whose postcondition
+   definitively fails to prove is dropped before this search);
 4. otherwise run the bounded symbolic verifier; a verified candidate is
    returned, a failed one contributes its counterexample state.
 
@@ -223,6 +225,16 @@ def _solve_problem(
         if examples.rejects(candidate):
             continue
 
+        # Once a bounded-verified fallback exists, candidates whose
+        # postcondition clauses *definitively* fail to prove are
+        # discarded before any concrete or bounded check is spent on
+        # them: they could at best tie the fallback's verification level.
+        # Budget-exhausted post proofs are not definitive and keep the
+        # candidate in the running.
+        if prover is not None and fallback is not None:
+            if not prover.proves_postcondition(candidate):
+                continue
+
         # Cheap counterexample search (random concrete states, GF(7) floats).
         counterexample = verifier.quick_check(candidate, samples=quick_samples, rng=rng)
         if counterexample is not None:
@@ -230,16 +242,6 @@ def _solve_problem(
             stats.counterexamples_found += 1
             stats.examples_used = len(examples)
             continue
-
-        # Once a bounded-verified fallback exists, candidates whose
-        # postcondition clauses *definitively* fail to prove are
-        # discarded before any bounded verification is spent on them:
-        # they could at best tie the fallback's verification level.
-        # Budget-exhausted post proofs are not definitive and keep the
-        # candidate in the running.
-        if prover is not None and fallback is not None:
-            if not prover.proves_postcondition(candidate):
-                continue
 
         # Full bounded-symbolic verification.
         stats.verifier_calls += 1

@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
+from repro.compile.predcomp import _shape
 from repro.ir import nodes as ir
 from repro.ir.analysis import loop_counters, output_arrays
 from repro.predicates.language import (
@@ -60,39 +61,41 @@ class CandidateSpace:
     vc: VCProblem
     strided_exact: bool = False
 
-    def size(self) -> int:
-        size = self.template_set.space_size()
-        for eq in self.template_set.scalar_equalities:
-            # The "omit this equality" option adds one choice per equality.
-            size *= 1
-        return size
-
-    # ------------------------------------------------------------------
     def enumerate(self, limit: Optional[int] = None) -> Iterator[CandidateSummary]:
         """Yield candidate summaries in deterministic order.
 
         The enumeration is the cartesian product of every hole's
         candidates, every bound's candidates and every scalar equality's
         candidates (with "omit the equality" as a final option).
+        Candidates that agree on everything :func:`build_invariants`
+        reads (see :func:`invariant_key`) share one invariants dict.
         """
         per_array_choices: List[List[Tuple[str, QuantifiedConstraint]]] = []
         for template in self.template_set.arrays:
             per_array_choices.append(list(self._array_conjuncts(template)))
         equality_choices = self._equality_choices()
+        earlier = earlier_nest_arrays(self.template_set.write_sites)
+        # Key -> (post, invariants); the entry keeps the post alive so
+        # that no id in a key can be recycled.
+        built: Dict[tuple, Tuple[Postcondition, Dict[str, Invariant]]] = {}
 
         produced = 0
         for conjunct_combo in itertools.product(*per_array_choices) if per_array_choices else [()]:
             post = Postcondition(tuple(choice for _, choice in conjunct_combo))
-            for equalities in equality_choices:
-                invariants = build_invariants(
-                    self.vc,
-                    post,
-                    self.template_set.write_sites,
-                    scalar_equalities=equalities,
-                    strided_exact=self.strided_exact,
-                )
+            for choice, equalities in enumerate(equality_choices):
+                key = invariant_key(post, earlier, choice)
+                entry = built.get(key)
+                if entry is None:
+                    invariants = build_invariants(
+                        self.vc,
+                        post,
+                        self.template_set.write_sites,
+                        scalar_equalities=equalities,
+                        strided_exact=self.strided_exact,
+                    )
+                    entry = built[key] = (post, invariants)
                 yield CandidateSummary(
-                    post=post, invariants=invariants, strided_exact=self.strided_exact
+                    post=post, invariants=entry[1], strided_exact=self.strided_exact
                 )
                 produced += 1
                 if limit is not None and produced >= limit:
@@ -137,6 +140,35 @@ class CandidateSpace:
                     grouped.setdefault(candidate.loop_id, []).append(chosen)
             choices.append(grouped)
         return choices
+
+
+def earlier_nest_arrays(write_sites: Sequence[WriteSiteInfo]) -> FrozenSet[str]:
+    """Arrays written by a nest that a later nest follows.
+
+    :func:`build_invariants` copies the whole postcondition conjunct of
+    each such array into the invariants of the later nests.
+    """
+    last = max((site.nest_index for site in write_sites), default=0)
+    return frozenset(site.array for site in write_sites if site.nest_index < last)
+
+
+def invariant_key(post: Postcondition, earlier: FrozenSet[str], equality_choice: int) -> tuple:
+    """Everything :func:`build_invariants` reads of one candidate.
+
+    That is each conjunct's right-hand side (interned, so keyed by
+    identity), the whole conjunct of every array in ``earlier`` (by
+    its structural shape) and the index of the scalar-equality choice.
+    The bounds of the last nest's conjuncts, where candidates mostly
+    differ, are not read.  Ids in the key are only meaningful while
+    ``post`` is alive.
+    """
+    return (
+        tuple(
+            (c.out_eq.array, _shape(c) if c.out_eq.array in earlier else id(c.out_eq.rhs))
+            for c in post.conjuncts
+        ),
+        equality_choice,
+    )
 
 
 @dataclass

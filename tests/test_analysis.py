@@ -12,6 +12,8 @@ report's classification/baseline gate, and the autotuner's pruning
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.analysis.dependence import analyze_kernel
@@ -33,7 +35,8 @@ from repro.analysis.lint import (
 )
 from repro.analysis.liveness import scalars_live_after
 from repro.analysis.presburger import constraints_infeasible
-from repro.autotune import MultiArmedBanditTuner, ScheduleSpace
+from repro.autotune import MultiArmedBanditTuner, ScheduleSpace, tuner
+from repro.autotune.techniques import DEFAULT_TECHNIQUES, Technique
 from repro.frontend.parser import parse_source
 from repro.halide import Func, ImageParam, Schedule, Var, lower
 from repro.ir import nodes as ir
@@ -394,11 +397,27 @@ class _CanonicalCostObjective:
 
     def __call__(self, schedule: Schedule) -> float:
         self.calls += 1
+        # CRC32 of the repr, not hash(): the key holds None, whose hash
+        # is an address on Python 3.11, so it would change per process.
         key = canonical_key(schedule, self.dimensions)
-        return 1.0 + (hash(key) % 9973) / 9973.0
+        return 1.0 + (zlib.crc32(repr(key).encode()) % 9973) / 9973.0
 
 
-def test_pruning_preserves_the_winner_and_cuts_objective_calls():
+class _ExplicitNaturalOrder(Technique):
+    """Proposes the default schedule's traversal with its order spelled out."""
+
+    name = "explicit-natural-order"
+
+    def propose(self, space, best, rng) -> Schedule:
+        return Schedule(dim_order=(0, 1))
+
+
+def test_pruning_preserves_the_winner_and_cuts_objective_calls(monkeypatch):
+    # A technique that proposes a duplicate of the default traversal on
+    # purpose, so the run has something to prune whatever the costs.
+    monkeypatch.setattr(
+        tuner, "DEFAULT_TECHNIQUES", DEFAULT_TECHNIQUES + (_ExplicitNaturalOrder,)
+    )
     func = _pure_func()
     space = ScheduleSpace(func.dimensions)
 

@@ -12,9 +12,11 @@ suite kernel's executable body, and end-to-end through
 
 from __future__ import annotations
 
+import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -291,9 +293,18 @@ def quantified_constraints(draw):
     )
     array = draw(st.sampled_from(["a", "b"]))
     quantified = st.sampled_from(BOUND_NAMES).map(Sym)
-    index = st.one_of(quantified, quantified, _small_ints, _leaves())
+    # Stencil-shaped arithmetic: known-int operands (loop variables, int
+    # literals) meet each other and scalars of every value kind.
+    scalar = st.sampled_from(["i", "n", "w", "s"]).map(Sym)
+    offset = st.one_of(
+        st.tuples(quantified, _small_ints).map(lambda t: Add(*t)),
+        st.tuples(quantified, _small_ints).map(lambda t: Sub(*t)),
+        st.tuples(_small_ints, quantified).map(lambda t: Mul(*t)),
+        st.tuples(quantified, scalar).map(lambda t: Add(*t)),
+    )
+    index = st.one_of(quantified, quantified, _small_ints, _leaves(), offset)
     indices = tuple(draw(st.lists(index, min_size=1, max_size=2)))
-    rhs = draw(st.one_of(_leaves(), sym_exprs, st.just(ArrayCell(array, indices))))
+    rhs = draw(st.one_of(_leaves(), sym_exprs, offset, st.just(ArrayCell(array, indices))))
     return QuantifiedConstraint(tuple(bounds), OutEq(array, indices, rhs), guard)
 
 
@@ -325,6 +336,61 @@ def test_quantified_tiers_match_interpreter(constraint, field, bindings):
     )
     for _ in range(2 * predcomp._CODEGEN_THRESHOLD):
         assert repr(outcome(lambda: check(_quantifier_state(field), bindings))) == reference
+
+
+def _offset_constraint_27() -> QuantifiedConstraint:
+    """``forall lo < v_d < hi. a[v] = 2*b[v] + (sum of b over the other 26 offsets)``."""
+    point = [Sym(f"v{d}") for d in range(3)]
+    bounds = tuple(
+        Bound(f"v{d}", Sym("lo"), Sym("hi"), lower_strict=True, upper_strict=True)
+        for d in range(3)
+    )
+    rhs = None
+    for offsets in itertools.product((-1, 0, 1), repeat=3):
+        index = tuple(
+            Add(v, Const(Fraction(1))) if o > 0 else Sub(v, Const(Fraction(1))) if o < 0 else v
+            for v, o in zip(point, offsets)
+        )
+        term = ArrayCell("b", index)
+        if not any(offsets):
+            term = Mul(Const(Fraction(2)), term)
+        rhs = term if rhs is None else Add(rhs, term)
+    return QuantifiedConstraint(bounds, OutEq("a", tuple(point), rhs))
+
+
+def test_offset_constraint_dispatches_only_on_runtime_values(monkeypatch):
+    sources = []
+    build = codegen._Emitter.build
+
+    def capture(self, signature, tag):
+        sources.append("\n".join(self.lines))
+        return build(self, signature, tag)
+
+    monkeypatch.setattr(codegen._Emitter, "build", capture)
+    constraint = _offset_constraint_27()
+    check = codegen.gen_quantified_fn(constraint)
+    (source,) = sources
+
+    loop_vars = re.findall(r"for (t\d+) in range\(", source)
+    assert len(loop_vars) == 3
+    for var in loop_vars:
+        assert f"isinstance({var}," not in source
+    assert not re.search(r"isinstance\(-?\d+,", source)
+    # Only the six bounds, read from the state, are coerced.
+    bound_ends = re.findall(r"range\((t\d+)(?: \+ 1)?, (t\d+)(?: \+ 1)?\)", source)
+    coerced = re.findall(r"require_int\((t\d+),", source)
+    assert sorted(coerced) == sorted(name for pair in bound_ends for name in pair)
+    assert len(coerced) == 6
+
+    # Every b cell equal: the right-hand side is 28 cells' worth.
+    for cell, total in ((Fraction(1, 3), Fraction(28, 3)), (Mod7(2), Mod7(0))):
+        for a_value in (total, cell):
+            state = State(scalars={"lo": 0, "hi": 4})
+            state.arrays["a"] = constant_array("a", a_value)
+            state.arrays["b"] = constant_array("b", cell)
+            reference = repr(outcome(lambda: evaluate_quantified(constraint, state, None)))
+            assert reference == repr(("ok", a_value is total))
+            assert repr(outcome(lambda: check(state, None))) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
+from repro.compile.predcomp import _shape
 from repro.predicates import format_postcondition
-from repro.suites import stencil_fortran
+from repro.predicates.language import Bound, OutEq, Postcondition, QuantifiedConstraint
+from repro.suites import all_cases, stencil_fortran
 from repro.suites.base import cross_2d, cross_3d
 from repro.symbolic import cell, const, sym
 from repro.symbolic.interpreter import choose_integer_environments, run_inductive_executions, symbolic_execute
 from repro.synthesis import STRATEGIES, SynthesisFailure, build_problem, synthesize_kernel
+from repro.synthesis.invariants import build_invariants
 from repro.synthesis.skolem import partial_skolem_witnesses, skolem_radius
+from repro.synthesis.space import earlier_nest_arrays, invariant_key
 from repro.templates import Hole, anti_unify, generalize, generate_templates
 from repro.templates.generator import TemplateGenerationError, index_hole_candidates
 from repro.templates.writes import analyze_write_sites
@@ -233,6 +237,75 @@ class TestSynthesis:
         r3 = synthesize_kernel(k3, seed=1)
         assert r3.control_bits > r2.control_bits
         assert r3.postcondition_ast_nodes > r2.postcondition_ast_nodes
+
+
+class TestInvariantSharing:
+    """Candidates share invariants exactly when ``build_invariants`` reads the same."""
+
+    TWO_NESTS = (
+        "subroutine two(ilo, ihi, a, b)\n"
+        "real (kind=8), dimension(ilo:ihi) :: a\n"
+        "real (kind=8), dimension(ilo:ihi) :: b\n"
+        "integer :: ilo, ihi\n"
+        "do i = ilo+1, ihi\n"
+        "  a(i) = b(i) + b(i-1)\n"
+        "enddo\n"
+        "do i = ilo, ihi\n"
+        "  b(i) = a(i)\n"
+        "enddo\n"
+        "end subroutine two\n"
+    )
+
+    @staticmethod
+    def _shapes(invariants):
+        return {loop_id: _shape(invariant) for loop_id, invariant in invariants.items()}
+
+    def test_key_holds_the_earlier_nest_but_not_the_last_nest_bounds(self):
+        kernel = kernel_from_source(self.TWO_NESTS)
+        vc, sites = generate_vc(kernel), analyze_write_sites(kernel)
+        earlier = earlier_nest_arrays(sites)
+        assert earlier == {"a"}
+
+        v0, ilo = sym("v0"), sym("ilo")
+        a_rhs, b_rhs = cell("b", v0) + cell("b", v0 - 1), cell("a", v0)
+
+        def post(a_lower, b_lower):
+            return Postcondition(tuple(
+                QuantifiedConstraint((Bound("v0", lower, sym("ihi")),), OutEq(array, (v0,), rhs))
+                for array, lower, rhs in (("a", a_lower, a_rhs), ("b", b_lower, b_rhs))
+            ))
+
+        def built(candidate):
+            return self._shapes(build_invariants(vc, candidate, sites, strided_exact=True))
+
+        base = post(ilo + 1, ilo)
+        earlier_differs = post(ilo + 2, ilo)
+        last_differs = post(ilo + 1, ilo + 1)
+        key = invariant_key(base, earlier, 0)
+        assert invariant_key(earlier_differs, earlier, 0) != key
+        assert built(earlier_differs) != built(base)
+        assert invariant_key(last_differs, earlier, 0) == key
+        assert built(last_differs) == built(base)
+        assert invariant_key(base, earlier, 1) != key
+
+    @pytest.mark.parametrize("name", ["grad0", "heat27u"])
+    def test_shared_invariants_equal_a_fresh_build(self, name):
+        case = next(c for c in all_cases() if c.name == name)
+        kernel = kernel_from_source(case.source)
+        templates = generate_templates(kernel, run_inductive_executions(kernel, trials=2, seed=0))
+        space = build_problem(kernel, templates, strided_exact=True).space
+        choices = space._equality_choices()
+        candidates = list(space.enumerate())
+        for position, candidate in enumerate(candidates):
+            fresh = build_invariants(
+                space.vc,
+                candidate.post,
+                templates.write_sites,
+                scalar_equalities=choices[position % len(choices)],
+                strided_exact=True,
+            )
+            assert self._shapes(candidate.invariants) == self._shapes(fresh)
+        assert len({id(c.invariants) for c in candidates}) < len(candidates) // 10
 
 
 class TestVerificationBackstop:
