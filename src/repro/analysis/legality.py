@@ -282,7 +282,7 @@ def parallel_band_race_free(nest) -> bool:
         if isinstance(bound, Shifted):
             return pure(bound.base)
         if isinstance(bound, Clamped):
-            return pure(bound.base) and pure(bound.limit)
+            return pure(bound.left) and pure(bound.right)
         return False  # LoopVar or anything new: not entry-scope
 
     if not (pure(parallel.lower) and pure(parallel.upper)):

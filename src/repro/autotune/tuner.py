@@ -262,7 +262,9 @@ class MultiArmedBanditTuner:
                     submit(None, sensible)
                 else:
                     pruned_illegal += 1
-            while pending:
+            while True:
+                # Refill before testing for an empty queue: at depth 1 the
+                # queue empties after every measurement.
                 while submitted < budget and len(pending) < depth:
                     technique = self._pick_technique()
                     candidate = technique.propose(self.space, best_schedule, self.rng)
@@ -276,6 +278,8 @@ class MultiArmedBanditTuner:
                         self._reward(technique, 0.0)
                         continue
                     submit(technique, candidate)
+                if not pending:
+                    break
                 technique, schedule, future = pending.popleft()
                 if isinstance(future, tuple) and future[0] == "replay":
                     cost = future[1]

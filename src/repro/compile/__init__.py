@@ -26,7 +26,6 @@ from repro.compile.exprcomp import (
 )
 from repro.compile.stmtcomp import (
     CompiledCollector,
-    CompiledRecordingExecutor,
     clear_stmt_cache,
     compile_stmt,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "INTERPRETED",
     "CompiledClause",
     "CompiledCollector",
-    "CompiledRecordingExecutor",
     "CompiledVC",
     "clear_compile_caches",
     "clear_expr_caches",

@@ -90,8 +90,8 @@ class CompiledClause:
                     (assumption.kind, None, loop.counter, compile_ir_expr(loop.upper))
                 )
         self._premises = tuple(premises)
-        # Alignment premises for strided_exact candidates: (counter name,
-        # compiled lower bound, step) for every live strided loop.
+        # Alignment premises: (counter name, compiled lower bound, step)
+        # for every live strided loop.
         self._alignment = tuple(
             (loop.counter, compile_ir_expr(loop.lower), loop.step)
             for loop in clause.aligned_loops
@@ -104,15 +104,14 @@ class CompiledClause:
     # -- evaluation ---------------------------------------------------------
     def premises_hold(self, state: State, candidate: CandidateSummary) -> bool:
         """Compiled twin of ``VCClause._premises_hold``."""
-        if candidate.strided_exact and self._alignment:
-            for counter_name, lower_fn, step in self._alignment:
-                try:
-                    value = require_int(state.scalar(counter_name))
-                    lower = require_int(lower_fn(state))
-                except (KeyError, EvalError, TypeError):
-                    return False
-                if (value - lower) % step != 0:
-                    return False
+        for counter_name, lower_fn, step in self._alignment:
+            try:
+                value = require_int(state.scalar(counter_name))
+                lower = require_int(lower_fn(state))
+            except (KeyError, EvalError, TypeError):
+                return False
+            if (value - lower) % step != 0:
+                return False
         for kind, loop_id, counter, upper_fn in self._premises:
             if kind == "pre":
                 for pre_fn in self._pre_conditions:

@@ -24,32 +24,24 @@ and returns 1 — the dispatcher raises the same
 :class:`~repro.halide.executor.OutOfBoundsError` the generated-Python
 backend raises.
 
-Threaded emission (``emit_c_source(..., threaded=True)``): when the
-nest's *outermost* loop is a ``parallel`` chunk band, the band is
-dispatched over POSIX threads instead of being serialised.  The entry
-point replicates :func:`repro.halide.loopir.chunk_ranges` exactly —
-step-aligned, contiguous, disjoint slabs of the outer loop's range —
-and hands each slab to a worker function that is the ordinary serial
-nest with the outer bounds clamped to the slab.  Because the slabs are
-disjoint in the *output* (the outer loop var selects distinct output
-coordinates) and every point is computed by exactly the same sequence
-of IEEE-754 operations as in serial order, the result is bit-identical
-to serial execution by construction, for any thread count.  Strict
-bounds errors keep serial semantics too: every worker stops its slab at
-the slab's first error in traversal order, and the entry point scans
-the slabs *in serial order* after joining, so the reported ``err``
-triple is the one serial execution would have reported.
-
-A parallel band that is *not* outermost (``dim_order`` placed other
-axes outside it) is threaded too, but only when the static analyzer
-certifies it: :func:`repro.analysis.legality.parallel_band_race_free`
+Threaded emission (``emit_c_source(..., threaded=True)``): the nest's
+``parallel`` chunk band is dispatched over POSIX threads instead of
+being serialised when it is the root loop, or when it sits below the
+root (``dim_order`` placed other axes outside it) and the static
+analyzer certifies it: :func:`repro.analysis.legality.parallel_band_race_free`
 must prove the schedule legal and the band's bounds entry-scope pure.
-Each worker then runs the whole nest with the band clamped to its slab
-— enclosing loops are re-executed per worker, every output point is
-still written exactly once — and strict-bounds errors carry a
-band-entry ordinal so the entry point can report the serially-first
-one.  An uncertified non-root band keeps the serial emission below
-(still bit-identical, just not threaded).
+The entry point replicates :func:`repro.halide.loopir.chunk_ranges`
+exactly — step-aligned, contiguous, disjoint slabs of the band's range —
+and each worker runs the whole nest with the band clamped to its slab.
+Every output point is written exactly once, by exactly the same
+sequence of IEEE-754 operations as in serial order, so the result is
+bit-identical to serial execution for any thread count.  Strict-bounds
+errors keep serial semantics too: each worker stops at its slab's first
+error and tags it with the band-entry ordinal, and the entry point
+reports the error with the smallest (ordinal, slab) pair, the one serial
+execution would have hit first.  At ``threads <= 1`` the entry point
+makes one full-range worker call.  An uncertified non-root band keeps
+the serial emission below (still bit-identical, just not threaded).
 
 Bit-identity with the generated-Python backend is by construction, not
 by luck:
@@ -190,7 +182,7 @@ class _CEmitter:
         # instead of its own bounds — used by the per-slab worker.
         self._parallel_loop: "Loop | None" = None
         self._parallel_override: "Tuple[str, str] | None" = None
-        # Non-root threaded workers track a serial-order ordinal so the
+        # Threaded workers track a serial-order ordinal so the
         # entry point can pick the serially-first strict-bounds error.
         self._ordinal = False
         self.lines: List[str] = []
@@ -352,24 +344,18 @@ class _CEmitter:
         return None
 
     def emit_kernel(self) -> None:
-        root = self.nest.root
         self.emit(f"/* kernel {self.func.name}: [{self.nest.schedule.describe()}] */", 0)
         parallel = self._find_parallel_loop()
         if self.threaded and parallel is not None and parallel.chunks > 1:
-            if parallel is root:
-                self.uses_pthreads = True
-                self._emit_threaded_kernel(root)
-                return
-            # A parallel band below the root (dim_order put other axes
-            # outside it) may still be threaded, but only when the
-            # static race check certifies the schedule and the band's
-            # bounds are entry-scope pure; otherwise fall back to the
-            # (still bit-identical) serial emission.
+            # A band below the root (dim_order put other axes outside it)
+            # is threaded only when the static race check certifies the
+            # schedule and the band's bounds are entry-scope pure;
+            # otherwise it keeps the (still bit-identical) serial emission.
             from repro.analysis.legality import parallel_band_race_free
 
-            if parallel_band_race_free(self.nest):
+            if parallel is self.nest.root or parallel_band_race_free(self.nest):
                 self.uses_pthreads = True
-                self._emit_threaded_nonroot_kernel(parallel)
+                self._emit_threaded_kernel(parallel)
                 return
         self._emit_serial_kernel()
 
@@ -386,132 +372,30 @@ class _CEmitter:
         self.emit("return 0;", 1)
         self.emit("}", 0)
 
-    def _emit_threaded_kernel(self, root: Loop) -> None:
-        """The outermost parallel band as a pthread-dispatched slab worker.
+    def _emit_threaded_kernel(self, parallel: Loop) -> None:
+        """The parallel band as a pthread-dispatched slab worker.
 
-        ``rk_chunk`` is the serial nest with the outer loop clamped to
-        one step-aligned slab; the entry point replicates
-        ``chunk_ranges`` (C truncating ``/`` equals Python floor ``//``
-        here because the range is non-empty and the step positive),
-        round-robins the slabs over ``threads`` workers, joins, and
-        scans the slabs in serial order for the first error.
-        """
-        chunks = root.chunks
-        step = root.step
-        self.emit("static int64_t rk_chunk(const int64_t* lo, const int64_t* hi,", 0)
-        self.emit("double* const* bufs, const int64_t* borig, const int64_t* bext,", 5)
-        self.emit("const double* params, double* out, int64_t* err,", 5)
-        self.emit("int64_t ck_lo, int64_t ck_hi)", 5)
-        self.emit("{", 0)
-        self._emit_prologue(1)
-        self._parallel_loop = root
-        self._parallel_override = ("ck_lo", "ck_hi")
-        self._emit_node(root, 1, {})
-        self._parallel_override = None
-        self._parallel_loop = None
-        self.emit("return 0;", 1)
-        self.emit("}", 0)
-        self.emit("", 0)
-        self.emit("typedef struct {", 0)
-        self.emit("const int64_t* lo; const int64_t* hi;", 1)
-        self.emit("double* const* bufs; const int64_t* borig; const int64_t* bext;", 1)
-        self.emit("const double* params; double* out;", 1)
-        self.emit("int64_t ck_lo; int64_t ck_hi;", 1)
-        self.emit("int64_t rc; int64_t err[3];", 1)
-        self.emit("} rk_task_t;", 0)
-        self.emit("", 0)
-        self.emit("typedef struct {", 0)
-        self.emit("rk_task_t* tasks; int64_t ntasks; int64_t tid; int64_t stride;", 1)
-        self.emit("} rk_worker_arg_t;", 0)
-        self.emit("", 0)
-        self.emit("static void* rk_worker(void* argp) {", 0)
-        self.emit("rk_worker_arg_t* arg = (rk_worker_arg_t*)argp;", 1)
-        self.emit("for (int64_t i = arg->tid; i < arg->ntasks; i += arg->stride) {", 1)
-        self.emit("rk_task_t* t = &arg->tasks[i];", 2)
-        self.emit("t->rc = rk_chunk(t->lo, t->hi, t->bufs, t->borig, t->bext,", 2)
-        self.emit("t->params, t->out, t->err, t->ck_lo, t->ck_hi);", 6)
-        self.emit("}", 1)
-        self.emit("return 0;", 1)
-        self.emit("}", 0)
-        self.emit("", 0)
-        self.emit(
-            f"int64_t {ENTRY_SYMBOL}(const int64_t* lo, const int64_t* hi,", 0
-        )
-        self.emit("double* const* bufs, const int64_t* borig, const int64_t* bext,", 5)
-        self.emit("const double* params, double* out, int64_t* err, int64_t threads)", 5)
-        self.emit("{", 0)
-        self.emit(f"const int64_t p_lo = {self.bound(root.lower)};", 1)
-        self.emit(f"const int64_t p_hi = {self.bound(root.upper)};", 1)
-        self.emit(f"rk_task_t tasks[{chunks}];", 1)
-        self.emit("int64_t ntasks = 0;", 1)
-        self.emit("if (p_lo <= p_hi) {", 1)
-        self.emit(f"const int64_t iters = (p_hi - p_lo) / {step} + 1;", 2)
-        self.emit(f"const int64_t per_chunk = ((iters + {chunks - 1}) / {chunks}) * {step};", 2)
-        self.emit("for (int64_t start = p_lo; start <= p_hi; start += per_chunk) {", 2)
-        self.emit("rk_task_t* t = &tasks[ntasks];", 3)
-        self.emit("t->lo = lo; t->hi = hi; t->bufs = bufs; t->borig = borig; t->bext = bext;", 3)
-        self.emit("t->params = params; t->out = out;", 3)
-        self.emit("t->ck_lo = start;", 3)
-        self.emit(f"t->ck_hi = rk_imin(start + per_chunk - {step}, p_hi);", 3)
-        self.emit("t->rc = 0; t->err[0] = 0; t->err[1] = 0; t->err[2] = 0;", 3)
-        self.emit("ntasks++;", 3)
-        self.emit("}", 2)
-        self.emit("}", 1)
-        self.emit("int64_t nthreads = threads < 1 ? 1 : threads;", 1)
-        self.emit("if (nthreads > ntasks) nthreads = ntasks;", 1)
-        self.emit("if (nthreads <= 1) {", 1)
-        self.emit("for (int64_t i = 0; i < ntasks; i++) {", 2)
-        self.emit("rk_task_t* t = &tasks[i];", 3)
-        self.emit("t->rc = rk_chunk(t->lo, t->hi, t->bufs, t->borig, t->bext,", 3)
-        self.emit("t->params, t->out, t->err, t->ck_lo, t->ck_hi);", 7)
-        self.emit("if (t->rc != 0) {", 3)
-        self.emit("err[0] = t->err[0]; err[1] = t->err[1]; err[2] = t->err[2];", 4)
-        self.emit("return 1;", 4)
-        self.emit("}", 3)
-        self.emit("}", 2)
-        self.emit("return 0;", 2)
-        self.emit("}", 1)
-        self.emit(f"pthread_t tids[{chunks}];", 1)
-        self.emit(f"rk_worker_arg_t wargs[{chunks}];", 1)
-        self.emit(f"int created[{chunks}];", 1)
-        self.emit("for (int64_t w = 0; w < nthreads; w++) {", 1)
-        self.emit("wargs[w].tasks = tasks; wargs[w].ntasks = ntasks;", 2)
-        self.emit("wargs[w].tid = w; wargs[w].stride = nthreads;", 2)
-        self.emit("created[w] = pthread_create(&tids[w], 0, rk_worker, &wargs[w]) == 0;", 2)
-        self.emit("if (!created[w]) rk_worker(&wargs[w]);", 2)
-        self.emit("}", 1)
-        self.emit("for (int64_t w = 0; w < nthreads; w++) {", 1)
-        self.emit("if (created[w]) pthread_join(tids[w], 0);", 2)
-        self.emit("}", 1)
-        self.emit("for (int64_t i = 0; i < ntasks; i++) {", 1)
-        self.emit("if (tasks[i].rc != 0) {", 2)
-        self.emit("err[0] = tasks[i].err[0]; err[1] = tasks[i].err[1]; err[2] = tasks[i].err[2];", 3)
-        self.emit("return 1;", 3)
-        self.emit("}", 2)
-        self.emit("}", 1)
-        self.emit("return 0;", 1)
-        self.emit("}", 0)
-
-    def _emit_threaded_nonroot_kernel(self, parallel: Loop) -> None:
-        """Thread a parallel band that sits *below* the nest's root.
-
-        Each worker runs the *entire* nest with the parallel band
-        clamped to one step-aligned slab, so the enclosing loops are
-        re-executed per slab while every output point is still computed
-        exactly once (the slabs partition the band's range, the band's
-        axis selects distinct output coordinates, and the legality
-        certificate — checked by the caller via
-        :func:`repro.analysis.legality.parallel_band_race_free` —
-        guarantees no cross-slab value dependence).  The band's bounds
-        are entry-scope pure (also certified), so the slab partition can
-        be computed once, before dispatch.
+        ``rk_chunk`` runs the *entire* nest with the band clamped to one
+        step-aligned slab; the entry point replicates ``chunk_ranges``
+        (C truncating ``/`` equals Python floor ``//`` here because the
+        range is non-empty and the step positive), round-robins the
+        slabs over ``threads`` workers and joins.  Loops enclosing a
+        non-root band are re-executed per slab while every output point
+        is still computed exactly once (the slabs partition the band's
+        range, the band's axis selects distinct output coordinates, and
+        for a non-root band the caller's
+        :func:`repro.analysis.legality.parallel_band_race_free` check
+        rules out cross-slab value dependence).  The band's bounds are
+        entry-scope pure, so the slab partition is computed once,
+        before dispatch.
 
         Strict-bounds errors keep serial semantics: a worker records the
         band-entry ordinal alongside its first error (``err[3]``,
         task-local only — the entry ABI stays three-wide), and the entry
         point picks the failing task with the smallest
         ``(ordinal, slab)`` pair, which is the error serial execution
-        would have hit first.
+        would have hit first.  At ``threads <= 1`` one full-range call
+        of the worker is the serial nest itself.
         """
         chunks = parallel.chunks
         step = parallel.step

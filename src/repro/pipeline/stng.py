@@ -75,8 +75,8 @@ class PipelineOptions:
     sizes (trying up to ``max_proof_attempts`` bounded-verified
     candidates before falling back to the first one), and every lift
     reports its verification level ("proved" versus "verified (bounded
-    N=k)").  Disabling it reproduces the prover-less pipeline
-    byte-identically.
+    N=k)").  Disabling it skips the prover: the first bounded-verified
+    candidate of the same candidate space wins.
 
     ``measure_backend`` accepts ``"codegen"``, ``"native"`` (compiled
     C, see :mod:`repro.native`) and ``"auto"`` (native when a C

@@ -16,10 +16,9 @@ invariants need.
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ir import nodes as ir
 from repro.ir.analysis import collect_loops, free_scalar_inputs, loop_counters, output_arrays
@@ -66,8 +65,7 @@ class SymbolicRun:
         return [snap for snap in self.snapshots if snap.loop_id == loop_id]
 
 
-# Whole-run iteration budget for concrete-symbolic execution; shared with
-# the compiled recording executor (:mod:`repro.compile`).
+# Whole-run iteration budget for concrete-symbolic execution.
 SYMBOLIC_EXECUTION_BUDGET = 200_000
 
 
@@ -80,6 +78,7 @@ class _RecordingExecutor:
         self.snapshots: List[IterationSnapshot] = []
         self._loop_ids: Dict[int, str] = {}
         self._counter_counts: Dict[str, int] = {}
+        self._counter_names = frozenset(loop_counters(kernel))
         self._iterations = 0
         for loop in collect_loops(kernel.body):
             count = self._counter_counts.get(loop.counter, 0)
@@ -135,9 +134,8 @@ class _RecordingExecutor:
     def _record(self, loop_id: str, state: State) -> None:
         counters: Dict[str, int] = {}
         scalars: Dict[str, Value] = {}
-        counter_names = set(loop_counters(self.kernel))
         for name, value in state.scalars.items():
-            if name in counter_names:
+            if name in self._counter_names:
                 try:
                     counters[name] = require_int(value)
                 except TypeError:
@@ -163,25 +161,11 @@ def build_symbolic_state(kernel: ir.Kernel, int_env: Dict[str, int]) -> State:
     return state
 
 
-def symbolic_execute(
-    kernel: ir.Kernel, int_env: Dict[str, int], compile_options=None
-) -> SymbolicRun:
-    """Execute ``kernel`` with the given concrete integer environment.
-
-    ``compile_options`` selects how the body is evaluated; when enabled
-    it runs through the compiled recording executor
-    (:class:`repro.compile.CompiledRecordingExecutor`), which is
-    bit-identical to the interpreted one.
-    """
+def symbolic_execute(kernel: ir.Kernel, int_env: Dict[str, int]) -> SymbolicRun:
+    """Execute ``kernel`` with the given concrete integer environment."""
     state = build_symbolic_state(kernel, int_env)
     executor = _RecordingExecutor(kernel)
-    if compile_options is not None and compile_options.enabled:
-        from repro.compile import CompiledRecordingExecutor
-
-        compiled = CompiledRecordingExecutor(kernel)
-        compiled.run(state, executor._record)
-    else:
-        executor.run(state)
+    executor.run(state)
     observations: List[CellObservation] = []
     for array in output_arrays(kernel):
         for index in state.array(array).written_indices():
@@ -216,11 +200,10 @@ def _integer_inputs(kernel: ir.Kernel) -> List[str]:
     return names
 
 
-def _environment_is_valid(kernel: ir.Kernel, env: Dict[str, int], max_cells: int) -> bool:
-    """Check that counter-independent loops run between 2 and ``max_cells`` iterations."""
-    state = State(scalars=dict(env))
+def _counter_independent_loops(kernel: ir.Kernel) -> List[ir.Loop]:
+    """The loops whose bounds mention no loop counter, in traversal order."""
     counters = set(loop_counters(kernel))
-    total = 1
+    loops: List[ir.Loop] = []
     for loop in collect_loops(kernel.body):
         mentioned = {
             node.name
@@ -228,8 +211,18 @@ def _environment_is_valid(kernel: ir.Kernel, env: Dict[str, int], max_cells: int
             for node in bound.walk()
             if isinstance(node, ir.VarRef)
         }
-        if mentioned & counters:
-            continue
+        if not mentioned & counters:
+            loops.append(loop)
+    return loops
+
+
+def _environment_is_valid(
+    loops: Sequence[ir.Loop], env: Dict[str, int], max_cells: int
+) -> bool:
+    """Check that counter-independent loops run between 2 and ``max_cells`` iterations."""
+    state = State(scalars=dict(env))
+    total = 1
+    for loop in loops:
         try:
             lower = require_int(eval_ir_expr(loop.lower, state))
             upper = require_int(eval_ir_expr(loop.upper, state))
@@ -262,13 +255,14 @@ def choose_integer_environments(
     """
     rng = random.Random(seed)
     names = _integer_inputs(kernel)
+    loops = _counter_independent_loops(kernel)
     environments: List[Dict[str, int]] = []
     attempts = 0
     while len(environments) < count and attempts < 8000:
         attempts += 1
         env = {name: rng.randint(low, high) for name in names}
         # Also honour the kernel's assume() annotations where possible.
-        if not _environment_is_valid(kernel, env, max_cells):
+        if not _environment_is_valid(loops, env, max_cells):
             continue
         if not _satisfies_assumptions(kernel, env):
             continue
@@ -308,13 +302,10 @@ def _satisfies_assumptions(kernel: ir.Kernel, env: Dict[str, int]) -> bool:
 
 
 def run_inductive_executions(
-    kernel: ir.Kernel,
-    trials: int = 2,
-    seed: int = 0,
-    compile_options=None,
+    kernel: ir.Kernel, trials: int = 2, seed: int = 0
 ) -> List[SymbolicRun]:
     """Run the kernel on ``trials`` distinct small integer environments."""
-    runs = []
-    for env in choose_integer_environments(kernel, count=trials, seed=seed):
-        runs.append(symbolic_execute(kernel, env, compile_options=compile_options))
-    return runs
+    return [
+        symbolic_execute(kernel, env)
+        for env in choose_integer_environments(kernel, count=trials, seed=seed)
+    ]

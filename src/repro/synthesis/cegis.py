@@ -327,9 +327,7 @@ def _prepare_problem_inputs(
 ):
     """Template generation, VC and verifier-tier setup shared by every strategy."""
     try:
-        runs = run_inductive_executions(
-            kernel, trials=trials, seed=seed, compile_options=compile_options
-        )
+        runs = run_inductive_executions(kernel, trials=trials, seed=seed)
     except (SymbolicExecutionError, TypeError) as exc:
         # TypeError covers kernels whose store indices depend on array data
         # (they cannot be executed concrete-symbolically, hence not lifted).
@@ -366,13 +364,7 @@ def _attempt_strategy(
     narrowed = strategy.apply(kernel, base_templates)
     if narrowed is None:
         return False, None
-    problem = build_problem(
-        kernel,
-        narrowed,
-        vc=vc,
-        strategy_name=strategy.name,
-        strided_exact=prover is not None,
-    )
+    problem = build_problem(kernel, narrowed, vc=vc, strategy_name=strategy.name)
     result = _solve_problem(
         problem,
         verifier,
@@ -412,7 +404,8 @@ def synthesize_kernel_uncached(
     additionally proved for all array sizes, the search prefers provable
     candidates (up to ``max_proof_attempts`` extra verifications), and
     the result carries a :class:`ProofCertificate`.  With it disabled
-    (the default) behaviour is byte-identical to earlier releases.
+    (the default) the first bounded-verified candidate wins and the
+    result carries no certificate.
 
     Raises :class:`SynthesisFailure` when template generation cannot
     express the kernel or no candidate verifies under any strategy.

@@ -13,7 +13,8 @@ region at counters ``(c1 .. ck)`` is the union of ``k`` slabs::
                             lower_d <= w_d < c_d,
                             lower_f <= w_f <= upper_f for f > d }
 
-Each slab becomes one universally quantified conjunct whose bounds are
+(a loop of step ``s > 1`` bounds its partial slab by ``w_d < c_d - (s - 1)``,
+see :func:`_slab_bounds`).  Each slab becomes one universally quantified conjunct whose bounds are
 written in the bndExp grammar (loop bounds with enclosing counters
 substituted by the quantified variables).  On top of the quantified
 conjuncts the invariant carries scalar inequalities on the counters and
@@ -64,7 +65,6 @@ def _slab_bounds(
     nest: Sequence[LoopInfo],
     slab_depth: int,
     counter_exprs: Dict[str, Expr],
-    strided_exact: bool = False,
 ) -> Tuple[Bound, ...]:
     """Quantifier bounds of one slab (see module docstring).
 
@@ -74,21 +74,16 @@ def _slab_bounds(
     extent (with enclosing counters replaced by the quantified
     variables of the slab).
 
-    ``strided_exact`` tightens the partial dimension of a *strided*
-    loop (step ``s > 1``) from ``lower <= w < counter`` to ``lower <= w
-    <= counter - s``.  The quantifier ranges over **every** integer in
-    the partial range, so for a strided loop the looser bound claims
-    iteration points the loop has not executed yet: at tile counter
-    ``kt`` only the tiles ``lower, lower+s, ..., kt-s`` are complete,
-    and an intermediate ``w`` with ``kt-s < w < kt`` would drag the
-    *next* tile's cells into the region via the inner loop's
-    ``w``-dependent bounds.  Such invariants are false on grids with
-    more than one tile — the bounded verifier only accepts them because
-    its small sampled environments run a single tile — and are
-    therefore unprovable.  The tightened form describes exactly the
-    completed region and is what the inductive prover verifies; the
-    loose historical form is kept as the default so that runs without
-    the prover reproduce earlier results byte-for-byte.
+    The partial dimension of a *strided* loop (step ``s > 1``) is
+    ``lower <= w <= counter - s`` rather than ``lower <= w < counter``.
+    The quantifier ranges over **every** integer in the partial range:
+    at tile counter ``kt`` only the tiles ``lower, lower+s, ..., kt-s``
+    are complete, and an intermediate ``w`` with ``kt-s < w < kt`` would
+    drag the *next* tile's cells into the region via the inner loop's
+    ``w``-dependent bounds.  The bound therefore describes exactly the
+    completed region, on grids with any number of tiles; the clause
+    premises supply the counter alignment it relies on (see
+    :meth:`repro.vcgen.hoare.VCClause._counters_aligned`).
     """
     bounds: List[Bound] = []
     substitution: Dict[str, Expr] = {}
@@ -102,7 +97,7 @@ def _slab_bounds(
             bounds.append(Bound(var, counter_value, counter_value))
         elif depth == slab_depth:
             partial_upper = counter_value
-            if strided_exact and info.loop.step > 1:
+            if info.loop.step > 1:
                 partial_upper = simplify(counter_value - (info.loop.step - 1))
             bounds.append(Bound(var, lower, partial_upper, upper_strict=True))
         else:
@@ -137,7 +132,6 @@ def build_invariants(
     post: Postcondition,
     write_sites: Sequence[WriteSiteInfo],
     scalar_equalities: Optional[Dict[str, List[ScalarEquality]]] = None,
-    strided_exact: bool = False,
 ) -> Dict[str, Invariant]:
     """Build one invariant per loop for a candidate postcondition.
 
@@ -145,9 +139,8 @@ def build_invariants(
     that loop (possibly empty).  Loops that do not enclose any write
     site (e.g. initialisation loops in merged fragments writing other
     arrays) still receive invariants describing the nests that complete
-    before them.  ``strided_exact`` selects the exact completed-region
-    bounds for strided loops (see :func:`_slab_bounds`); it is enabled
-    whenever the inductive prover participates in verification.
+    before them.  Strided loops get the exact completed-region bounds
+    of :func:`_slab_bounds`.
     """
     scalar_equalities = scalar_equalities or {}
     loops = vc.loops
@@ -220,12 +213,7 @@ def build_invariants(
             site_nest = [by_id[lid] for lid in site_chain]
             depth_of_this_loop = [li.loop_id for li in site_nest].index(loop_id)
             for slab_depth in range(depth_of_this_loop + 1):
-                bounds = _slab_bounds(
-                    site_nest,
-                    slab_depth,
-                    _counter_values(site_nest, loop_id),
-                    strided_exact=strided_exact,
-                )
+                bounds = _slab_bounds(site_nest, slab_depth, _counter_values(site_nest, loop_id))
                 out_eq = _site_out_eq(site, post_conjunct, site_nest)
                 conjuncts.append(QuantifiedConstraint(bounds=bounds, out_eq=out_eq))
 

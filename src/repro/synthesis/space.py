@@ -48,18 +48,10 @@ from repro.synthesis.invariants import build_invariants
 
 @dataclass
 class CandidateSpace:
-    """The finite space of candidate summaries for one kernel.
-
-    ``strided_exact`` selects the exact completed-region invariant
-    bounds for strided loops (see
-    :func:`repro.synthesis.invariants._slab_bounds`); the inductive
-    prover requires them, the historical loose bounds are kept as the
-    default for byte-identical prover-off runs.
-    """
+    """The finite space of candidate summaries for one kernel."""
 
     template_set: TemplateSet
     vc: VCProblem
-    strided_exact: bool = False
 
     def enumerate(self, limit: Optional[int] = None) -> Iterator[CandidateSummary]:
         """Yield candidate summaries in deterministic order.
@@ -91,12 +83,9 @@ class CandidateSpace:
                         post,
                         self.template_set.write_sites,
                         scalar_equalities=equalities,
-                        strided_exact=self.strided_exact,
                     )
                     entry = built[key] = (post, invariants)
-                yield CandidateSummary(
-                    post=post, invariants=entry[1], strided_exact=self.strided_exact
-                )
+                yield CandidateSummary(post=post, invariants=entry[1])
                 produced += 1
                 if limit is not None and produced >= limit:
                     return
@@ -243,13 +232,12 @@ def build_problem(
     template_set: TemplateSet,
     vc: Optional[VCProblem] = None,
     strategy_name: str = "default",
-    strided_exact: bool = False,
 ) -> SynthesisProblem:
     """Assemble a synthesis problem from a kernel and its template set."""
     from repro.vcgen.hoare import generate_vc
 
     vc = vc or generate_vc(kernel)
-    space = CandidateSpace(template_set=template_set, vc=vc, strided_exact=strided_exact)
+    space = CandidateSpace(template_set=template_set, vc=vc)
     control_bits = compute_control_bits(kernel, template_set, num_loops=len(vc.loops))
     grammar_bits = compute_narrowed_bits(template_set)
     return SynthesisProblem(

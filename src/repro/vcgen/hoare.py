@@ -42,20 +42,15 @@ from repro.semantics.state import State, require_int
 class CandidateSummary:
     """A candidate solution: one postcondition plus one invariant per loop.
 
-    ``strided_exact`` records that the invariants were built with the
-    exact completed-region bounds for strided loops (see
-    :mod:`repro.synthesis.invariants`).  Such invariants are implicitly
-    strengthened with the counter-alignment conjunct ``(counter -
-    lower) mod step == 0`` for every live loop: the clause premises
-    enforce it (see :meth:`VCClause._premises_hold`), matching what the
-    inductive prover assumes.  For step-1 loops the conjunct is a
-    tautology, so candidates built without ``strided_exact`` — the
-    prover-off configuration — behave exactly as before.
+    Every invariant is implicitly strengthened with the counter-alignment
+    conjunct ``(counter - lower) mod step == 0`` for every live loop:
+    the clause premises enforce it (see :meth:`VCClause._premises_hold`),
+    matching what the inductive prover assumes.  For step-1 loops the
+    conjunct is a tautology.
     """
 
     post: Postcondition
     invariants: Dict[str, Invariant] = field(default_factory=dict)
-    strided_exact: bool = False
 
     def invariant_for(self, loop_id: str) -> Invariant:
         if loop_id not in self.invariants:
@@ -104,10 +99,10 @@ class VCClause:
     """One implication of the verification condition.
 
     ``aligned_loops`` lists the loops *live* at the clause's program
-    point (the loops of its assumptions plus their ancestors); for
-    ``strided_exact`` candidates their counters are additionally
-    premised to be aligned (``(counter - lower) mod step == 0``), which
-    is the strengthened-invariant reading the inductive prover uses.
+    point (the loops of its assumptions plus their ancestors); their
+    counters are additionally premised to be aligned (``(counter -
+    lower) mod step == 0``), which is the strengthened-invariant reading
+    the inductive prover uses.
     """
 
     name: str
@@ -161,7 +156,7 @@ class VCClause:
         return self._target_holds(work, candidate)
 
     def _premises_hold(self, state: State, candidate: CandidateSummary) -> bool:
-        if candidate.strided_exact and not self._counters_aligned(state):
+        if not self._counters_aligned(state):
             return False
         for assumption in self.assumptions:
             if assumption.kind == "pre":

@@ -244,7 +244,7 @@ class BoundedVerifier:
         invariants instantiated into it; it is shared read-only, and a
         failing check hands out a copy as its counterexample.  A passing
         check is keyed by everything it reads (the premise state, the
-        clause, the target formula and ``strided_exact``) and replays
+        clause and the target formula) and replays
         its counter increments on a hit.  A failing check is never
         stored, so a refutation is always found by a real evaluation.
         """
@@ -377,17 +377,15 @@ class BoundedVerifier:
     def _clause_keys(self, candidate: CandidateSummary) -> List[tuple]:
         """Per clause, the key of what its check reads of ``candidate``.
 
-        A clause key is ``(clause index, premises, target id,
-        strided_exact)``, where ``premises`` holds a ``(loop_id,
-        invariant id)`` pair per ``inv`` premise, in premise order.
+        A clause key is ``(clause index, premises, target id)``, where
+        ``premises`` holds a ``(loop_id, invariant id)`` pair per ``inv``
+        premise, in premise order.
         """
         keys = []
         for index, clause in enumerate(self.vc.clauses):
             premises, target = clause.candidate_formulas(candidate)
             premise_ids = tuple((loop_id, self._formula_id(inv)) for loop_id, inv in premises)
-            keys.append(
-                (index, premise_ids, self._formula_id(target), candidate.strided_exact)
-            )
+            keys.append((index, premise_ids, self._formula_id(target)))
         return keys
 
     def _premise_state(

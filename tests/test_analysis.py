@@ -26,6 +26,7 @@ from repro.analysis.legality import (
     canonical_key,
     certify,
     order_preserving,
+    parallel_band_race_free,
 )
 from repro.analysis.lint import (
     GATED_TOTALS,
@@ -39,6 +40,7 @@ from repro.autotune import MultiArmedBanditTuner, ScheduleSpace, tuner
 from repro.autotune.techniques import DEFAULT_TECHNIQUES, Technique
 from repro.frontend.parser import parse_source
 from repro.halide import Func, ImageParam, Schedule, Var, lower
+from repro.halide.loopir import Clamped, DomainHi, LoopVar, Shifted
 from repro.ir import nodes as ir
 from repro.symbolic.expr import as_expr, sym
 from repro.symbolic.simplify import simplify
@@ -346,6 +348,18 @@ def test_schedule_checker_memoizes_by_canonical_key():
     first = checker.check(Schedule())
     second = checker.check(Schedule(dim_order=(0, 1), tile_sizes=(0, 0)))
     assert first is second  # one certify call for one traversal
+
+
+def test_race_free_band_reads_clamped_bounds():
+    # A band's bounds must be entry-scope pure: ``min`` of domain bounds
+    # is, ``min`` with an enclosing loop variable is not.
+    nest = lower(_pure_func(), Schedule(parallel_dim=0))
+    band = next(loop for loop in nest.loops() if loop.kind == "parallel")
+    assert band is not nest.root and parallel_band_race_free(nest)
+    band.upper = Clamped(DomainHi(0), Shifted(DomainHi(0), 4))
+    assert parallel_band_race_free(nest)
+    band.upper = Clamped(LoopVar(nest.root.var), DomainHi(0))
+    assert not parallel_band_race_free(nest)
 
 
 # ---------------------------------------------------------------------------

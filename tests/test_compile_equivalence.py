@@ -657,8 +657,9 @@ class TestFingerprints:
         # stng-cache-2 added the compile section; stng-cache-3 invalidated
         # entries verified under flooring (pre-truncation) MOD semantics;
         # stng-cache-4 invalidated entries recorded before the exact
-        # trip-count enumeration and the Tier-3 inductive prover.
-        assert CODE_VERSION == "stng-cache-4"
+        # trip-count enumeration and the Tier-3 inductive prover;
+        # stng-cache-5 those recorded with the loose strided invariants.
+        assert CODE_VERSION == "stng-cache-5"
 
     def test_config_contains_compile_options(self):
         config = synthesis_config(

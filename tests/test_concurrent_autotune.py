@@ -140,10 +140,12 @@ class TestEarlyAbort:
 
 
 class TestPipelinedTuner:
-    def test_budget_counts_measurements(self, monkeypatch):
+    # Depth 1 empties the compile-ahead queue after every measurement.
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_budget_counts_measurements(self, monkeypatch, depth):
         objective = _fake_objective(monkeypatch, repeats=2)
         result = MultiArmedBanditTuner(ScheduleSpace(1), objective, seed=3).tune(
-            budget=9, pipeline_depth=3
+            budget=9, pipeline_depth=depth
         )
         assert result.evaluations == 9
         assert objective.evaluations == 9

@@ -57,8 +57,16 @@ ROTATING = stencil_fortran("rot", 2, pair_1d_2d(), use_temporary=True)
 TILED_1D = stencil_fortran("tiled1d", 1, [((0,), 1.0), ((-1,), 0.5)], tile={0: 4})
 
 
+# Loop ``it`` of TILED_1D steps by 4: its completed tiles end at ``it - 4``.
+_EXACT_TILE_BOUND = "(ilo + 1) <= w_it < (it - 3)"
+
+
 def _kernel(source: str):
     return lower_candidate(identify_candidates(parse_source(source)).candidates[0])
+
+
+def _bounds_of(invariant):
+    return [bound.describe() for conjunct in invariant.conjuncts for bound in conjunct.bounds]
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +180,17 @@ class TestProofRules:
         kernel = _kernel(TILED_1D)
         result = synthesize_kernel(kernel, seed=0, verifier_environments=1, inductive=True)
         assert result.proved
-        assert result.candidate.strided_exact
+        assert _EXACT_TILE_BOUND in _bounds_of(result.candidate.invariants["it"])
+
+    def test_strided_tile_loop_takes_exact_slabs_without_the_prover(self):
+        # One invariant form: the prover-off lift carries the same exact
+        # completed-region bound for the stride-4 tile loop, never the
+        # loose ``w_it < it``, which claims tiles that have not run yet.
+        result = synthesize_kernel(_kernel(TILED_1D), seed=0, verifier_environments=1)
+        assert result.certificate is None
+        bounds = _bounds_of(result.candidate.invariants["it"])
+        assert _EXACT_TILE_BOUND in bounds
+        assert "(ilo + 1) <= w_it < it" not in bounds
 
     def test_wrong_candidate_is_never_proved(self, two_point_setup):
         kernel, vc, result = two_point_setup
@@ -191,7 +209,6 @@ class TestProofRules:
                 )
             ),
             invariants=good.invariants,
-            strided_exact=good.strided_exact,
         )
         outcome = prover.prove(wrong)
         assert outcome.verdict is not Verdict.PROVED
@@ -258,7 +275,6 @@ class TestTierAgreement:
                 )
             ),
             invariants=good.invariants,
-            strided_exact=good.strided_exact,
         )
         bounded = verifier.verify(candidate)
         outcome = prover.prove(candidate)

@@ -447,8 +447,8 @@ class TestBuildRunner:
 class TestThreadedExecution:
     """Multithreaded dispatch must stay inside the bit-identity contract.
 
-    The threaded emission partitions the outermost parallel chunk band
-    into disjoint, step-aligned output slabs (the exact ``chunk_ranges``
+    The threaded emission partitions the parallel chunk band into
+    disjoint, step-aligned output slabs (the exact ``chunk_ranges``
     partition the serial band iterates), so for every thread count the
     bytes must equal the serial native run, the generated-Python backend
     and the schedule-blind reference.
@@ -465,7 +465,7 @@ class TestThreadedExecution:
             reference = realize(func, domain, inputs, origins, params)
             dims = func.dimensions
             schedules = ScheduleSpace(dims).sample_schedules(6, seed=31)
-            # Parallel-outermost variants, the ones that actually thread.
+            # Every parallel dimension: root and certified non-root bands thread.
             schedules += [Schedule(parallel_dim=dim) for dim in range(dims)]
             schedules.append(
                 Schedule(parallel_dim=0, tile_sizes=(8,) * dims, vector_width=2)
@@ -500,13 +500,11 @@ class TestThreadedExecution:
             threaded = emit_c_source(lower(_cross2d(), schedule), threaded=True)
             assert threaded.threaded, schedule.describe()
             assert "pthread_create" in threaded.text
-        # Only a non-root band carries the serial-order error ordinal.
-        nonroot = emit_c_source(
-            lower(_cross2d(), Schedule(parallel_dim=0)),
-            strict_bounds=True,
-            threaded=True,
-        )
-        assert "rk_pos" in nonroot.text
+        # Root and non-root bands alike carry the serial-order error
+        # ordinal under strict bounds, through the one dispatcher.
+        for schedule in (Schedule(parallel_dim=1), Schedule(parallel_dim=0)):
+            strict = emit_c_source(lower(_cross2d(), schedule), strict_bounds=True, threaded=True)
+            assert "rk_pos" in strict.text, schedule.describe()
         # A schedule with no parallel band compiles serial even when the
         # emitter is allowed to thread.
         serial = emit_c_source(lower(_cross2d(), Schedule()), threaded=True)
@@ -526,18 +524,31 @@ class TestThreadedExecution:
             assert out.tobytes() == baseline.tobytes()
 
     def test_threaded_strict_bounds_message_parity(self):
-        """Worker-thread OOB errors surface in serial traversal order."""
-        func = _blur1d()
-        domain = [(0, 9)]
-        inputs = {"b": np.random.default_rng(0).normal(size=(10,))}
-        nest = lower(func, Schedule(parallel_dim=0))
-        with pytest.raises(OutOfBoundsError) as python_err:
-            compile_loop_nest(nest, strict_bounds=True)(domain, inputs)
-        for threads in (1,) + self.THREAD_COUNTS:
-            runner = compile_nest_native(nest, strict_bounds=True, threads=threads)
-            with pytest.raises(OutOfBoundsError) as native_err:
-                runner(domain, inputs)
-            assert str(native_err.value) == str(python_err.value), f"threads={threads}"
+        """Worker-thread OOB errors surface in serial traversal order.
+
+        blur1d's band is the root; cross2d's ``parallel_dim=0`` band sits
+        below the ``y`` loop.  The cross2d input lacks only the high edge
+        of each axis, so the last ``x`` slab fails in the first row while
+        the first slab fails only in the last row: a dispatcher that
+        reported the first failing slab, not the smallest (ordinal, slab)
+        pair, would name the wrong dimension.
+        """
+        rng = np.random.default_rng(0)
+        cases = [(_blur1d(), Schedule(parallel_dim=0), [(0, 9)], {"b": rng.normal(size=(10,))}, None)]
+        cross_inputs = {"b": rng.normal(size=(11, 11))}
+        for tiles in ((), (4, 4)):
+            schedule = Schedule(parallel_dim=0, tile_sizes=tiles)
+            cases.append((_cross2d(), schedule, [(0, 9), (0, 9)], cross_inputs, {"b": (-1, -1)}))
+        for func, schedule, domain, inputs, origins in cases:
+            nest = lower(func, schedule)
+            with pytest.raises(OutOfBoundsError) as python_err:
+                compile_loop_nest(nest, strict_bounds=True)(domain, inputs, origins)
+            for threads in (1,) + self.THREAD_COUNTS:
+                runner = compile_nest_native(nest, strict_bounds=True, threads=threads)
+                with pytest.raises(OutOfBoundsError) as native_err:
+                    runner(domain, inputs, origins)
+                label = f"{func.name} [{schedule.describe()}] threads={threads}"
+                assert str(native_err.value) == str(python_err.value), label
 
     def test_default_thread_count_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")

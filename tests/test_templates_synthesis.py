@@ -276,7 +276,7 @@ class TestInvariantSharing:
             ))
 
         def built(candidate):
-            return self._shapes(build_invariants(vc, candidate, sites, strided_exact=True))
+            return self._shapes(build_invariants(vc, candidate, sites))
 
         base = post(ilo + 1, ilo)
         earlier_differs = post(ilo + 2, ilo)
@@ -293,7 +293,7 @@ class TestInvariantSharing:
         case = next(c for c in all_cases() if c.name == name)
         kernel = kernel_from_source(case.source)
         templates = generate_templates(kernel, run_inductive_executions(kernel, trials=2, seed=0))
-        space = build_problem(kernel, templates, strided_exact=True).space
+        space = build_problem(kernel, templates).space
         choices = space._equality_choices()
         candidates = list(space.enumerate())
         for position, candidate in enumerate(candidates):
@@ -302,7 +302,6 @@ class TestInvariantSharing:
                 candidate.post,
                 templates.write_sites,
                 scalar_equalities=choices[position % len(choices)],
-                strided_exact=True,
             )
             assert self._shapes(candidate.invariants) == self._shapes(fresh)
         assert len({id(c.invariants) for c in candidates}) < len(candidates) // 10

@@ -15,13 +15,12 @@ import dataclasses
 import pytest
 
 from repro.compile import CompileOptions
-from repro.ir import nodes as ir
 from repro.pipeline import PipelineOptions
 from repro.pipeline.stng import STNGPipeline
-from repro.predicates.language import Invariant, Postcondition
+from repro.predicates.language import Postcondition
 from repro.suites import all_cases
 from repro.symbolic.expr import as_expr
-from repro.vcgen.hoare import CandidateSummary, generate_vc
+from repro.vcgen.hoare import CandidateSummary
 from repro.verification import inductive
 from repro.verification.bounded import BoundedVerifier
 from repro.verification.inductive import REASON_BUDGET, InductiveProver
@@ -221,45 +220,3 @@ def test_mutating_a_counterexample_does_not_change_a_later_verify(recorded):
     for array in first.counterexample.arrays.values():
         array.store((0, 0, 0), as_expr(7))
     assert _verification(shared.verify(wrong)) == expected
-
-
-def _strided_nest() -> ir.Kernel:
-    """A stride-2 loop whose lower bound is assigned inside the kernel.
-
-    The bound is symbolic in the bounded verifier's premise states, so
-    the alignment premise of a ``strided_exact`` candidate never holds
-    there: its checks are vacuous where a plain candidate's are not.
-    """
-    inner = ir.Loop(
-        "i",
-        ir.IntConst(0),
-        ir.VarRef("n"),
-        ir.Block([ir.ArrayStore("out", (ir.VarRef("i"),), ir.VarRef("i"))]),
-        step=1,
-    )
-    outer = ir.Loop("j", ir.VarRef("lo"), ir.VarRef("m"), ir.Block([inner]), step=2)
-    return ir.Kernel(
-        name="strided",
-        params=["n", "m", "out"],
-        arrays=[ir.ArrayDecl("out", ((ir.IntConst(0), ir.VarRef("n")),))],
-        scalars=[ir.ScalarDecl(name) for name in ("n", "m", "lo", "i", "j")],
-        body=ir.Block([ir.Assign("lo", ir.IntConst(1)), outer]),
-    )
-
-
-def test_strided_exact_is_part_of_the_check_key():
-    vc = generate_vc(_strided_nest())
-    exact = CandidateSummary(
-        post=Postcondition(()),
-        invariants={info.loop_id: Invariant(info.loop.counter, (), ()) for info in vc.loops},
-        strided_exact=True,
-    )
-    loose = dataclasses.replace(exact, strided_exact=False)
-
-    def make():
-        return BoundedVerifier(vc, environments=[{"n": 2, "m": 5}], seed=0)
-
-    expected = [_verification(make().verify(c)) for c in (exact, loose)]
-    assert expected[0][3] < expected[1][3]  # fewer non-vacuous checks when exact
-    shared = make()
-    assert [_verification(shared.verify(c)) for c in (exact, loose)] == expected
