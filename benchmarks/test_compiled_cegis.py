@@ -3,7 +3,7 @@
 Lifts the Table-1 suite cross-section cold (no cache) twice through the
 sequential pipeline: once with the compiled evaluation layer
 (:mod:`repro.compile`, the default) and once with the interpreted
-fallback (``CompileOptions(enabled=False)``).  Reports must be
+fallback (``PipelineOptions(compiled=False)``).  Reports must be
 byte-identical (via :func:`repro.pipeline.report_signature`) and the
 compiled cold lift must be at least 3x faster.
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 
-from repro.compile import CompileOptions, clear_compile_caches
+from repro.compile import clear_compile_caches
 from repro.pipeline import PipelineOptions, lift_cases_sequential, report_signature
 from repro.symbolic.expr import clear_intern_table
 from repro.symbolic.simplify import clear_simplify_cache
@@ -26,10 +26,7 @@ COMPILED_SPEEDUP_FLOOR = 3.0
 # compile layer, so it runs the prover-less configuration.
 COMPILED = PipelineOptions(autotune_budget=20, verifier_environments=1, inductive=False)
 INTERPRETED = PipelineOptions(
-    autotune_budget=20,
-    verifier_environments=1,
-    inductive=False,
-    compile_options=CompileOptions(enabled=False),
+    autotune_budget=20, verifier_environments=1, inductive=False, compiled=False
 )
 
 

@@ -314,8 +314,6 @@ def canonical_key(schedule: Schedule, dimensions: int) -> Tuple:
         schedule.vector_width,
         schedule.unroll,
         schedule.parallel_dim,
-        schedule.gpu,
-        schedule.gpu_block if schedule.gpu else None,
         schedule.inline,
     )
 

@@ -24,7 +24,8 @@ measurement being taken — so only compilation is parallelised.  The
 search stays deterministic for a fixed seed: proposals are drawn on the
 timing thread only, and measurements land in FIFO order regardless of
 which compile finishes first.  Objectives without the protocol (the
-modeled objective) keep the exact legacy serial loop.
+modeled objective) go through the same loop with no pool: each
+candidate is evaluated inline when it is submitted.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -97,8 +99,7 @@ class MultiArmedBanditTuner:
         instead of measuring it again.  The candidate stream, rewards
         and incumbent match the unchecked run exactly — the pruning is
         observable only in the objective's evaluation count and the
-        ``pruned_*`` fields of the result.  ``None`` keeps legacy
-        behavior bit for bit.
+        ``pruned_*`` fields of the result.
         """
         self.space = space
         self.objective = objective
@@ -128,143 +129,64 @@ class MultiArmedBanditTuner:
     def tune(self, budget: int = 200, pipeline_depth: Optional[int] = None) -> AutotuneResult:
         """Search for ``budget`` evaluations and return the best schedule.
 
-        When the objective implements ``prepare``/``measure_prepared``
-        (measured objectives do), candidate compilation is pipelined on
-        a background thread pool of ``pipeline_depth`` workers (default
-        ``min(4, max(2, cpu_count))``) while timing stays serial in
-        submission order.  Other objectives run the legacy serial loop;
-        ``pipeline_depth`` is ignored for them.
+        One FIFO loop serves every objective.  The default and sensible
+        schedules are submitted first (the sensible one wins a tie), then
+        technique proposals mutated from the incumbent; ``budget`` counts
+        submissions.  A plain callable is evaluated inline when submitted
+        (depth 1, no pool); an objective with ``prepare``/
+        ``measure_prepared`` compiles up to ``pipeline_depth`` candidates
+        ahead (default ``min(4, max(2, cpu_count))``).  ``history`` holds
+        the incumbent after the seeds, then after each later evaluation.
         """
         prepare = getattr(self.objective, "prepare", None)
         measure_prepared = getattr(self.objective, "measure_prepared", None)
-        if prepare is None or measure_prepared is None:
-            return self._tune_serial(budget)
+        inline = prepare is None or measure_prepared is None
         if pipeline_depth is None:
             pipeline_depth = min(4, max(2, os.cpu_count() or 1))
-        return self._tune_pipelined(budget, max(1, pipeline_depth))
-
-    def _tune_serial(self, budget: int) -> AutotuneResult:
-        """The classic propose-measure-reward loop, one candidate at a time."""
-        measured_costs: Dict[tuple, float] = {}
-        pruned = {"illegal": 0, "duplicate": 0}
-
-        def evaluate(schedule: Schedule) -> float:
-            if self.legality is None:
-                return self.objective(schedule)
-            key = self.legality.key(schedule)
-            if key in measured_costs:
-                pruned["duplicate"] += 1
-                return measured_costs[key]
-            cost = self.objective(schedule)
-            measured_costs[key] = cost
-            return cost
-
-        default = self.space.default_schedule()
-        default_cost = evaluate(default)
-        best_schedule, best_cost = default, default_cost
-        start = self.space.sensible_schedule()
-        evaluations = 1
-        if self.legality is None or self.legality.is_legal(start):
-            start_cost = evaluate(start)
-            evaluations += 1
-            # The sensible seed wins ties, matching the historical loop
-            # (which seeded the incumbent with it before trying default).
-            if start_cost <= best_cost:
-                best_schedule, best_cost = start, start_cost
-        else:
-            pruned["illegal"] += 1
-        wins: Dict[str, int] = {t.name: 0 for t in self.techniques}
-        history: List[float] = [best_cost]
-        while evaluations < budget:
-            technique = self._pick_technique()
-            candidate = technique.propose(self.space, best_schedule, self.rng)
-            try:
-                candidate.validate(self.space.dimensions)
-            except Exception:
-                self._reward(technique, 0.0)
-                continue
-            if self.legality is not None and not self.legality.is_legal(candidate):
-                pruned["illegal"] += 1
-                self._reward(technique, 0.0)
-                continue
-            cost = evaluate(candidate)
-            evaluations += 1
-            improved = cost < best_cost
-            self._reward(technique, 1.0 if improved else 0.0)
-            if improved:
-                best_schedule, best_cost = candidate, cost
-                wins[technique.name] += 1
-            history.append(best_cost)
-        return AutotuneResult(
-            best_schedule=best_schedule,
-            best_cost=best_cost,
-            default_cost=default_cost,
-            evaluations=evaluations,
-            technique_wins=wins,
-            history=history,
-            pruned_illegal=pruned["illegal"],
-            pruned_duplicate=pruned["duplicate"],
-        )
-
-    def _tune_pipelined(self, budget: int, depth: int) -> AutotuneResult:
-        """Compile-ahead search: background compiles, strictly serial timing.
-
-        A FIFO of at most ``depth`` in-flight candidates keeps the
-        compile pool busy; the timing thread proposes replacements (and
-        draws every random number) as it drains the head, so a fixed
-        seed gives a fixed candidate sequence.  Early proposals are
-        mutated from the default schedule until the first measurements
-        land — the prefetch trade-off of any compile-ahead pipeline.
-        ``budget`` counts total submissions, so total measurements match
-        the serial loop for ``budget >= 2``.
-        """
+        depth = 1 if inline else max(1, pipeline_depth)
         budget = max(1, budget)
         default = self.space.default_schedule()
         wins: Dict[str, int] = {t.name: 0 for t in self.techniques}
         history: List[float] = []
         best_schedule = default
-        best_cost = float("inf")
-        default_cost = float("inf")
+        best_cost = default_cost = float("inf")
         measured = 0
-        measured_costs: Dict[tuple, float] = {}
+        costs: Dict[tuple, float] = {}
         pruned_illegal = 0
         pruned_duplicate = 0
-        with ThreadPoolExecutor(max_workers=depth, thread_name_prefix="repro-tune-compile") as pool:
-            # Each entry: (technique or None for the seeds, schedule, future).
-            # ``future`` is either a pool future or a ("replay", cost)
-            # tuple when the canonical traversal was already timed —
-            # dedup is decided at submit time against *completed*
-            # measurements only, so the candidate stream stays identical
-            # to the unchecked run.
-            pending: "deque[tuple[Optional[Technique], Schedule, object]]" = deque()
-            submitted = 0
+        pool = None if inline else ThreadPoolExecutor(
+            max_workers=depth, thread_name_prefix="repro-tune-compile"
+        )
+        with nullcontext() if pool is None else pool:
+            # Each entry: (technique or None for the seeds, schedule,
+            # canonical key or None, cost or a pool future of its build).
+            pending: "deque[tuple[Optional[Technique], Schedule, object, object]]" = deque()
 
             def submit(technique: Optional[Technique], schedule: Schedule) -> None:
-                nonlocal submitted, pruned_duplicate
-                if self.legality is not None:
-                    key = self.legality.key(schedule)
-                    if key in measured_costs:
-                        pruned_duplicate += 1
-                        pending.append(
-                            (technique, schedule, ("replay", measured_costs[key]))
-                        )
-                        submitted += 1
-                        return
-                pending.append(
-                    (technique, schedule, pool.submit(self.objective.prepare, schedule))
-                )
-                submitted += 1
+                nonlocal pruned_duplicate
+                key = self.legality.key(schedule) if self.legality is not None else None
+                if key is not None and key in costs:
+                    pruned_duplicate += 1
+                    cost = costs[key]
+                elif pool is None:
+                    cost = self.objective(schedule)
+                    if key is not None:
+                        costs[key] = cost
+                else:
+                    cost = pool.submit(prepare, schedule)
+                pending.append((technique, schedule, key, cost))
 
             submit(None, default)
-            if submitted < budget:
+            if budget > 1:
                 sensible = self.space.sensible_schedule()
                 if self.legality is None or self.legality.is_legal(sensible):
                     submit(None, sensible)
                 else:
                     pruned_illegal += 1
+            seeds = submitted = len(pending)
             while True:
                 # Refill before testing for an empty queue: at depth 1 the
-                # queue empties after every measurement.
+                # queue empties after every evaluation.
                 while submitted < budget and len(pending) < depth:
                     technique = self._pick_technique()
                     candidate = technique.propose(self.space, best_schedule, self.rng)
@@ -278,27 +200,29 @@ class MultiArmedBanditTuner:
                         self._reward(technique, 0.0)
                         continue
                     submit(technique, candidate)
+                    submitted += 1
                 if not pending:
                     break
-                technique, schedule, future = pending.popleft()
-                if isinstance(future, tuple) and future[0] == "replay":
-                    cost = future[1]
-                else:
-                    measurement = self.objective.measure_prepared(future.result())
-                    cost = measurement.seconds
-                    if self.legality is not None:
-                        measured_costs[self.legality.key(schedule)] = cost
+                technique, schedule, key, cost = pending.popleft()
+                if isinstance(cost, Future):
+                    cost = measure_prepared(cost.result()).seconds
+                    if key is not None:
+                        costs[key] = cost
                 measured += 1
-                if measured == 1:
-                    default_cost = cost
-                improved = cost < best_cost
-                if technique is not None:
+                if technique is None:
+                    # The default is the first incumbent; the sensible
+                    # seed wins a tie with it.
+                    if measured == 1:
+                        best_cost = default_cost = cost
+                    elif cost <= best_cost:
+                        best_schedule, best_cost = schedule, cost
+                else:
+                    improved = cost < best_cost
                     self._reward(technique, 1.0 if improved else 0.0)
-                if improved:
-                    best_schedule, best_cost = schedule, cost
-                    if technique is not None:
+                    if improved:
+                        best_schedule, best_cost = schedule, cost
                         wins[technique.name] += 1
-                if measured >= 2:
+                if measured >= seeds:
                     history.append(best_cost)
         return AutotuneResult(
             best_schedule=best_schedule,

@@ -105,8 +105,6 @@ def schedule_to_payload(schedule: Schedule) -> Dict[str, Any]:
         "vector_width": schedule.vector_width,
         "unroll": schedule.unroll,
         "dim_order": None if schedule.dim_order is None else list(schedule.dim_order),
-        "gpu": schedule.gpu,
-        "gpu_block": list(schedule.gpu_block),
         "inline": schedule.inline,
     }
 
@@ -124,8 +122,6 @@ def schedule_from_payload(payload: Mapping[str, Any]) -> Schedule:
         vector_width=int(payload.get("vector_width", 1)),
         unroll=int(payload.get("unroll", 1)),
         dim_order=None if dim_order is None else tuple(dim_order),
-        gpu=bool(payload.get("gpu", False)),
-        gpu_block=tuple(payload.get("gpu_block") or (16, 16)),
         inline=bool(payload.get("inline", False)),
     )
 

@@ -9,15 +9,14 @@ dispatch of the interpreters in :mod:`repro.semantics` and
 
 The compiled evaluators are required to be *bit-identical* to the
 interpreters (same values, same exception types and messages, same
-lazily-drawn random array cells); :class:`CompileOptions(enabled=False)
-<repro.compile.options.CompileOptions>` falls back to the interpreters
-wholesale, and the equivalence test-suite holds the two modes equal on
-random expressions and formulas and every suite kernel.
+lazily-drawn random array cells); ``PipelineOptions(compiled=False)``
+falls back to the interpreters wholesale, and the equivalence
+test-suite holds the two modes equal on random expressions and formulas
+and every suite kernel.
 
 See :doc:`docs/compiled_evaluation.md` for the design notes.
 """
 
-from repro.compile.options import INTERPRETED, CompileOptions
 from repro.compile.exprcomp import (
     clear_expr_caches,
     compile_ir_condition,
@@ -47,8 +46,6 @@ def clear_compile_caches() -> None:
 
 
 __all__ = [
-    "CompileOptions",
-    "INTERPRETED",
     "CompiledClause",
     "CompiledCollector",
     "CompiledVC",

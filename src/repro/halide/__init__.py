@@ -7,7 +7,7 @@ package provides the pieces the pipeline needs:
 * :mod:`repro.halide.lang` — ``Func``/``Var``/``ImageParam`` with the
   same pure-functional semantics Halide's front end has;
 * :mod:`repro.halide.schedule` — schedule primitives (parallel, split/
-  tile, vectorize, unroll, reorder, gpu_blocks) recorded on a
+  tile, vectorize, unroll, reorder, inline) recorded on a
   :class:`~repro.halide.schedule.Schedule` object;
 * :mod:`repro.halide.executor` — the schedule-blind numpy reference
   executor used to check generated pipelines against the original

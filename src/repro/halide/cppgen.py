@@ -83,16 +83,6 @@ def _expr_to_cpp(expr: Expr) -> str:
 def _schedule_lines(func: Func, schedule: Schedule) -> List[str]:
     lines: List[str] = []
     vars_ = [v.name for v in func.vars]
-    if schedule.gpu:
-        bx, by = schedule.gpu_block
-        if len(vars_) >= 2:
-            lines.append(
-                f"    func.gpu_tile({vars_[0]}, {vars_[1]}, "
-                f"{vars_[0]}o, {vars_[1]}o, {vars_[0]}i, {vars_[1]}i, {bx}, {by});"
-            )
-        else:
-            lines.append(f"    func.gpu_blocks({vars_[0]});")
-        return lines
     if schedule.tile_sizes and any(schedule.tile_sizes) and len(vars_) >= 2:
         tx = schedule.tile_sizes[0] or 32
         ty = schedule.tile_sizes[1] or 8

@@ -2,9 +2,9 @@
 
 Halide separates the algorithm from the schedule; STNG's generated C++
 emits a default schedule which the OpenTuner-based autotuner then
-improves.  Our :class:`Schedule` records the same decisions —
-parallelisation, tiling/split factors, vectorisation, unrolling,
-dimension order, and GPU offload — and is consumed by two components:
+improves.  Our :class:`Schedule` records the same CPU decisions —
+parallelisation, tiling/split factors, vectorisation, unrolling and
+dimension order — and is consumed by two components:
 
 * the performance models in :mod:`repro.perfmodel`, which estimate the
   runtime of a (Func, Schedule, grid, machine) combination; and
@@ -44,9 +44,6 @@ class Schedule:
     dim_order:
         Traversal order (innermost first); ``None`` keeps the natural
         order.
-    gpu:
-        When true the pipeline is offloaded to the GPU backend; block
-        sizes come from ``gpu_block``.
     inline:
         For a producer stage in a multi-stage pipeline: substitute the
         definition into every consumer instead of realizing the stage
@@ -58,8 +55,6 @@ class Schedule:
     vector_width: int = 1
     unroll: int = 1
     dim_order: Optional[Tuple[int, ...]] = None
-    gpu: bool = False
-    gpu_block: Tuple[int, int] = (16, 16)
     inline: bool = False
 
     def __post_init__(self) -> None:
@@ -127,8 +122,6 @@ class Schedule:
         parts: List[str] = []
         if self.inline:
             parts.append("inline")
-        if self.gpu:
-            parts.append(f"gpu(block={self.gpu_block[0]}x{self.gpu_block[1]})")
         if self.parallel_dim is not None:
             parts.append(f"parallel(dim{self.parallel_dim})")
         if self.tile_sizes and any(self.tile_sizes):

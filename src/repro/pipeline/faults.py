@@ -8,9 +8,9 @@ policy layer the rewritten :meth:`BatchScheduler._run_jobs` is built
 around:
 
 * :class:`FaultPolicy` — how many attempts a job gets, the per-attempt
-  wall-clock deadline enforced *from the parent* (the hard limit above
-  CEGIS's own soft ``SynthesisTimeout``), and deterministic
-  exponential backoff with per-``(job, attempt)`` jitter;
+  wall-clock deadline enforced *from the parent* (the only time limit
+  on a lift), and deterministic exponential backoff with
+  per-``(job, attempt)`` jitter;
 * :func:`classify_exception` — sorts a failed future into *crash*
   (the pool broke underneath the job: SIGKILL, OOM, segfault) versus
   *exception* (the worker raised and the pool is still healthy);
@@ -62,10 +62,8 @@ class FaultPolicy:
     ``deadline_seconds`` is the per-attempt wall-clock limit measured
     from dispatch to a worker; a job still running at its deadline has
     its worker killed and the attempt charged as :data:`CAUSE_DEADLINE`
-    — this is the *hard* limit that catches hung native compilers and
-    runaway searches, sitting above the synthesis-internal soft timeout
-    (``PipelineOptions.synthesis_timeout``), which still raises a
-    clean, cache-invisible ``SynthesisTimeout`` when it gets the chance.
+    — this is the only time limit on a lift: it catches hung native
+    compilers and runaway searches alike, and CEGIS itself has none.
     ``None`` disables parent-side deadlines.
 
     Retries wait ``backoff_seconds * backoff_factor**(attempt-1)``,

@@ -9,7 +9,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.autotune import autotune
 from repro.backend.cgen import emit_serial_c
-from repro.compile import CompileOptions
 from repro.backend.gluegen import emit_fortran_glue
 from repro.backend.halidegen import (
     GeneratedStencil,
@@ -53,12 +52,13 @@ class KernelOutcome(str, Enum):
 class PipelineOptions:
     """Tunables of the pipeline (defaults keep the full suite under a few minutes).
 
-    ``compile_options`` selects how synthesis evaluates candidates
-    (generated code by default; ``CompileOptions(enabled=False)``
-    falls back to the tree-walking interpreters with bit-identical
-    results).  A plain mapping is accepted too, because the batch
-    scheduler round-trips options through ``dataclasses.asdict`` on
-    their way to pool workers.
+    The counts ``trials``, ``max_candidates``, ``verifier_environments``,
+    ``autotune_budget``, ``measure_budget`` and ``measure_points`` must
+    be at least 1: construction raises ``ValueError`` before any synthesis.
+
+    ``compiled`` selects how synthesis evaluates candidates (generated
+    code by default; ``False`` falls back to the tree-walking
+    interpreters with bit-identical results).
 
     ``measure`` turns on *measured* autotuning alongside the analytic
     model: each translated kernel's generated stencil is lowered to a
@@ -72,7 +72,7 @@ class PipelineOptions:
     the unbounded inductive prover of
     :mod:`repro.verification.inductive` — behind the bounded check:
     CEGIS prefers candidates whose summaries *prove* for all array
-    sizes (trying up to ``max_proof_attempts`` bounded-verified
+    sizes (trying up to ``cegis.MAX_PROOF_ATTEMPTS`` bounded-verified
     candidates before falling back to the first one), and every lift
     reports its verification level ("proved" versus "verified (bounded
     N=k)").  Disabling it skips the prover: the first bounded-verified
@@ -101,10 +101,8 @@ class PipelineOptions:
     autotune_budget: int = 120
     max_candidates: int = 2000
     verifier_environments: int = 2
-    synthesis_timeout: Optional[float] = None
-    compile_options: CompileOptions = field(default_factory=CompileOptions)
+    compiled: bool = True
     inductive: bool = True
-    max_proof_attempts: int = 12
     measure: bool = False
     measure_backend: str = "codegen"
     measure_budget: int = 12
@@ -113,7 +111,11 @@ class PipelineOptions:
     schedule_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.compile_options = CompileOptions.coerce(self.compile_options)
+        for name in ("trials", "max_candidates", "verifier_environments",
+                     "autotune_budget", "measure_budget", "measure_points"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
         if self.measure_backend not in ("auto",) + BACKENDS:
             raise ValueError(
                 f"unknown measure_backend {self.measure_backend!r} "
@@ -229,10 +231,8 @@ class STNGPipeline:
             max_candidates=self.options.max_candidates,
             verifier_environments=self.options.verifier_environments,
             cache=self.cache,
-            timeout=self.options.synthesis_timeout,
-            compile_options=self.options.compile_options,
+            compiled=self.options.compiled,
             inductive=self.options.inductive,
-            max_proof_attempts=self.options.max_proof_attempts,
         )
 
     # ------------------------------------------------------------------

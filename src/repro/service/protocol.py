@@ -67,9 +67,7 @@ OPTION_FIELDS = frozenset(
         "autotune_budget",
         "max_candidates",
         "verifier_environments",
-        "synthesis_timeout",
         "inductive",
-        "max_proof_attempts",
     }
 )
 

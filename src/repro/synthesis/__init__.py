@@ -13,7 +13,6 @@ from repro.synthesis.space import CandidateSpace, SynthesisProblem, build_proble
 from repro.synthesis.cegis import (
     CEGISResult,
     SynthesisFailure,
-    SynthesisTimeout,
     synthesis_config,
     synthesize_kernel,
     synthesize_kernel_uncached,
@@ -30,7 +29,6 @@ __all__ = [
     "Strategy",
     "SynthesisFailure",
     "SynthesisProblem",
-    "SynthesisTimeout",
     "build_invariants",
     "build_problem",
     "partial_skolem_witnesses",

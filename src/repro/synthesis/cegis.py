@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.serialize import CachePayloadError
-from repro.compile import CompileOptions, CompiledVC
 from repro.ir import nodes as ir
 from repro.predicates.language import Postcondition
 from repro.predicates.restrictions import check_postcondition_restrictions
@@ -45,7 +44,7 @@ from repro.symbolic.interpreter import (
     SymbolicExecutionError,
     run_inductive_executions,
 )
-from repro.templates.generator import TemplateGenerationError, TemplateSet, generate_templates
+from repro.templates.generator import TemplateGenerationError, generate_templates
 from repro.vcgen.hoare import CandidateSummary, VCProblem, generate_vc
 from repro.verification.bounded import BoundedVerifier, VerificationResult
 from repro.verification.inductive import (
@@ -58,18 +57,15 @@ from repro.verification.inductive import (
 from repro.synthesis.space import SynthesisProblem, build_problem
 from repro.synthesis.strategies import STRATEGIES, Strategy
 
+# Random concrete samples ``quick_check`` draws per candidate.
+QUICK_SAMPLES = 2
+# With the prover, the unproved bounded-verified candidates tried before
+# the first one is returned with a ``bounded_only`` certificate.
+MAX_PROOF_ATTEMPTS = 12
+
 
 class SynthesisFailure(Exception):
     """Raised when no strategy produces a verified summary for a kernel."""
-
-
-class SynthesisTimeout(SynthesisFailure):
-    """Raised when synthesis exceeds its time budget.
-
-    A distinct subclass because timeouts are wall-clock-dependent: they
-    must never be recorded in the content-addressed cache as definitive
-    failures (a rerun on an idle machine might verify the kernel).
-    """
 
 
 @dataclass
@@ -128,23 +124,14 @@ class CounterexampleReplay:
     Every counterexample found for this synthesis problem — by the
     random concrete checker or by the bounded verifier — accumulates
     here, and each *new* candidate is replayed against the whole buffer
-    before any verifier tier runs.  With compilation enabled the replay
-    goes through the compiled VC clauses (the candidate's formulas are
-    compiled once, the clause prefixes once per problem); the
-    interpreted mode replays through ``VCProblem.check``.  Either way
-    the accept/reject decisions are identical.
+    before any verifier tier runs, through the verifier's own
+    :attr:`~repro.verification.bounded.BoundedVerifier.check` (the
+    compiled VC clauses, or ``VCProblem.check`` when interpreted).
     """
 
-    def __init__(self, vc, compile_options: CompileOptions, compiled_vc=None):
+    def __init__(self, check):
         self.states: List[State] = []
-        if compile_options.enabled:
-            # Reuse the verifier's compiled VC when it exists (it is built
-            # from the same problem), rather than compiling a second one.
-            if compiled_vc is None:
-                compiled_vc = CompiledVC(vc)
-            self._check = compiled_vc.check
-        else:
-            self._check = vc.check
+        self._check = check
 
     def __len__(self) -> int:
         return len(self.states)
@@ -165,11 +152,8 @@ def _solve_problem(
     problem: SynthesisProblem,
     verifier: BoundedVerifier,
     max_candidates: int,
-    quick_samples: int,
     seed: int,
-    compile_options: Optional[CompileOptions] = None,
     prover: Optional[InductiveProver] = None,
-    max_proof_attempts: int = 12,
 ) -> Optional[CEGISResult]:
     """Run CEGIS on one synthesis problem; None when the space is exhausted.
 
@@ -179,19 +163,14 @@ def _solve_problem(
     while the search continues — candidates whose truth depends on the
     sampled grid sizes (vacuous bounds and the like) pass the bounded
     tiers but never prove, and the next candidates in enumeration order
-    often do.  After ``max_proof_attempts`` unproved candidates the
+    often do.  After :data:`MAX_PROOF_ATTEMPTS` unproved candidates the
     first bounded-verified one is returned with a ``bounded_only``
     certificate, so enabling the prover can upgrade but never lose a
     translation.
     """
     start = time.perf_counter()
     stats = CEGISStats()
-    compile_options = CompileOptions.coerce(compile_options)
-    examples = CounterexampleReplay(
-        problem.vc,
-        compile_options,
-        compiled_vc=verifier._compiled_vc if verifier.vc is problem.vc else None,
-    )
+    examples = CounterexampleReplay(verifier.check)
     rng = random.Random(seed)
 
     def finish(candidate, verification, certificate=None) -> CEGISResult:
@@ -236,7 +215,7 @@ def _solve_problem(
                 continue
 
         # Cheap counterexample search (random concrete states, GF(7) floats).
-        counterexample = verifier.quick_check(candidate, samples=quick_samples, rng=rng)
+        counterexample = verifier.quick_check(candidate, samples=QUICK_SAMPLES, rng=rng)
         if counterexample is not None:
             examples.add(counterexample)
             stats.counterexamples_found += 1
@@ -257,7 +236,7 @@ def _solve_problem(
                 return finish(candidate, verification, certificate)
             if fallback is None:
                 fallback = (candidate, verification, outcome)
-            if stats.proof_attempts >= max_proof_attempts:
+            if stats.proof_attempts >= MAX_PROOF_ATTEMPTS:
                 break
             continue
         if verification.counterexample is not None:
@@ -285,47 +264,68 @@ def synthesis_config(
     trials: int,
     seed: int,
     max_candidates: int,
-    quick_samples: int,
     verifier_environments: int,
     strategies: Sequence[str],
-    compile_options: Optional[CompileOptions] = None,
+    compiled: bool = True,
     inductive: bool = False,
-    max_proof_attempts: int = 12,
 ) -> Dict[str, Any]:
     """The options that determine a synthesis outcome, as a cache-key mapping.
 
-    ``compile_options`` is part of the key even though compiled and
+    ``compiled`` is part of the key even though compiled and
     interpreted evaluation must agree bit-for-bit: a stale entry
     recorded under a buggy compiled path must never be replayed as if
     the interpreter had produced it.  The inductive-prover configuration (including the
     prover version) is part of the key because the prover steers which
     candidate wins and emits the stored certificate.
     """
+    # Former settings keep their keys and shapes, so stored entries stay valid.
     return {
         "trials": trials,
         "seed": seed,
         "max_candidates": max_candidates,
-        "quick_samples": quick_samples,
+        "quick_samples": QUICK_SAMPLES,
         "verifier_environments": verifier_environments,
         "strategies": list(strategies),
-        "compile": CompileOptions.coerce(compile_options).config(),
+        "compile": {"enabled": bool(compiled)},
         "inductive": {
             "enabled": bool(inductive),
-            "max_proof_attempts": int(max_proof_attempts),
+            "max_proof_attempts": MAX_PROOF_ATTEMPTS,
             "prover": INDUCTIVE_PROVER_VERSION if inductive else None,
         },
     }
 
 
-def _prepare_problem_inputs(
+def synthesize_kernel_uncached(
     kernel: ir.Kernel,
-    trials: int,
-    seed: int,
-    verifier_environments: int,
-    compile_options: Optional[CompileOptions] = None,
+    trials: int = 2,
+    seed: int = 0,
+    strategies: Optional[Sequence[Strategy]] = None,
+    max_candidates: int = 2000,
+    verifier_environments: int = 2,
+    compiled: bool = True,
     inductive: bool = False,
-):
-    """Template generation, VC and verifier-tier setup shared by every strategy."""
+) -> CEGISResult:
+    """Lift one kernel without consulting any cache.
+
+    Template generation, the VC, the bounded verifier and the prover
+    are built once and shared by every strategy; the strategies then
+    run sequentially in priority order.  ``compiled`` selects how
+    candidates are evaluated (generated code by default, the
+    tree-walking interpreters when false); both produce bit-identical
+    results.
+
+    ``inductive`` enables the Tier-3 unbounded prover
+    (:mod:`repro.verification.inductive`): verified candidates are
+    additionally proved for all array sizes, the search prefers provable
+    candidates (up to :data:`MAX_PROOF_ATTEMPTS` extra verifications),
+    and the result carries a :class:`ProofCertificate`.  With it disabled
+    (the default) the first bounded-verified candidate wins and the
+    result carries no certificate.
+
+    Raises :class:`SynthesisFailure` when template generation cannot
+    express the kernel or no candidate verifies under any strategy.
+    """
+    strategies = list(strategies) if strategies is not None else list(STRATEGIES)
     try:
         runs = run_inductive_executions(kernel, trials=trials, seed=seed)
     except (SymbolicExecutionError, TypeError) as exc:
@@ -338,105 +338,25 @@ def _prepare_problem_inputs(
         raise SynthesisFailure(f"template generation failed for {kernel.name}: {exc}") from exc
     vc = generate_vc(kernel)
     verifier = BoundedVerifier(
-        vc,
-        num_environments=verifier_environments,
-        seed=seed,
-        compile_options=compile_options,
+        vc, num_environments=verifier_environments, seed=seed, compiled=compiled
     )
     prover = InductiveProver(vc) if inductive else None
-    return base_templates, vc, verifier, prover
-
-
-def _attempt_strategy(
-    kernel: ir.Kernel,
-    strategy: Strategy,
-    base_templates: TemplateSet,
-    vc,
-    verifier: BoundedVerifier,
-    max_candidates: int,
-    quick_samples: int,
-    seed: int,
-    compile_options: Optional[CompileOptions] = None,
-    prover: Optional[InductiveProver] = None,
-    max_proof_attempts: int = 12,
-) -> Tuple[bool, Optional[CEGISResult]]:
-    """Run one strategy; returns (applicable, verified result or None)."""
-    narrowed = strategy.apply(kernel, base_templates)
-    if narrowed is None:
-        return False, None
-    problem = build_problem(kernel, narrowed, vc=vc, strategy_name=strategy.name)
-    result = _solve_problem(
-        problem,
-        verifier,
-        max_candidates=max_candidates,
-        quick_samples=quick_samples,
-        seed=_strategy_seed(seed, strategy.name),
-        compile_options=compile_options,
-        prover=prover,
-        max_proof_attempts=max_proof_attempts,
-    )
-    return True, result
-
-
-def synthesize_kernel_uncached(
-    kernel: ir.Kernel,
-    trials: int = 2,
-    seed: int = 0,
-    strategies: Optional[Sequence[Strategy]] = None,
-    max_candidates: int = 2000,
-    quick_samples: int = 2,
-    verifier_environments: int = 2,
-    timeout: Optional[float] = None,
-    compile_options: Optional[CompileOptions] = None,
-    inductive: bool = False,
-    max_proof_attempts: int = 12,
-) -> CEGISResult:
-    """Lift one kernel without consulting any cache.
-
-    Strategies run sequentially in priority order.  ``timeout`` bounds
-    the total synthesis time; it is checked between strategies.
-    ``compile_options`` selects how candidates are evaluated (generated
-    code by default, the tree-walking interpreters when disabled); both
-    produce bit-identical results.
-
-    ``inductive`` enables the Tier-3 unbounded prover
-    (:mod:`repro.verification.inductive`): verified candidates are
-    additionally proved for all array sizes, the search prefers provable
-    candidates (up to ``max_proof_attempts`` extra verifications), and
-    the result carries a :class:`ProofCertificate`.  With it disabled
-    (the default) the first bounded-verified candidate wins and the
-    result carries no certificate.
-
-    Raises :class:`SynthesisFailure` when template generation cannot
-    express the kernel or no candidate verifies under any strategy.
-    """
-    strategies = list(strategies) if strategies is not None else list(STRATEGIES)
-    compile_options = CompileOptions.coerce(compile_options)
-    start = time.monotonic()
-    base_templates, vc, verifier, prover = _prepare_problem_inputs(
-        kernel, trials, seed, verifier_environments, compile_options, inductive
-    )
     failures: List[str] = []
     for strategy in strategies:
-        if timeout is not None and time.monotonic() - start > timeout:
-            raise SynthesisTimeout(f"synthesis for {kernel.name} timed out after {timeout}s")
-        applicable, result = _attempt_strategy(
-            kernel,
-            strategy,
-            base_templates,
-            vc,
+        narrowed = strategy.apply(kernel, base_templates)
+        if narrowed is None:
+            continue
+        problem = build_problem(kernel, narrowed, vc=vc, strategy_name=strategy.name)
+        result = _solve_problem(
+            problem,
             verifier,
             max_candidates=max_candidates,
-            quick_samples=quick_samples,
-            seed=seed,
-            compile_options=compile_options,
+            seed=_strategy_seed(seed, strategy.name),
             prover=prover,
-            max_proof_attempts=max_proof_attempts,
         )
         if result is not None:
             return result
-        if applicable:
-            failures.append(strategy.name)
+        failures.append(strategy.name)
     raise SynthesisFailure(
         f"no strategy produced a verified summary for {kernel.name} "
         f"(tried: {', '.join(failures) or 'none applicable'})"
@@ -449,21 +369,18 @@ def synthesize_kernel(
     seed: int = 0,
     strategies: Optional[Sequence[Strategy]] = None,
     max_candidates: int = 2000,
-    quick_samples: int = 2,
     verifier_environments: int = 2,
     cache=None,
-    timeout: Optional[float] = None,
-    compile_options: Optional[CompileOptions] = None,
+    compiled: bool = True,
     inductive: bool = False,
-    max_proof_attempts: int = 12,
 ) -> CEGISResult:
     """Lift one kernel: template generation, CEGIS, verification.
 
     ``cache`` is an optional :class:`repro.cache.SynthesisCache`: a hit
     replays the stored verified summary (or recorded failure) without
     synthesizing; a miss synthesizes and records the outcome.
-    ``compile_options`` selects the evaluation backend and is part of
-    the cache fingerprint, as are ``inductive``/``max_proof_attempts``.
+    ``compiled`` selects the evaluation backend and is part of the
+    cache fingerprint, as is ``inductive``.
 
     When ``inductive`` is set, a cache hit carrying a proof certificate
     is *revalidated*: the certificate's digests are checked against the
@@ -475,7 +392,6 @@ def synthesize_kernel(
     express the kernel or no candidate verifies under any strategy.
     """
     strategy_list = list(strategies) if strategies is not None else list(STRATEGIES)
-    compile_options = CompileOptions.coerce(compile_options)
     # The cache keys strategies by *name*, which only identifies behaviour
     # for the built-in roster: a caller-supplied Strategy object with a
     # familiar name but a different transform must not hit (or poison)
@@ -492,12 +408,10 @@ def synthesize_kernel(
             trials=trials,
             seed=seed,
             max_candidates=max_candidates,
-            quick_samples=quick_samples,
             verifier_environments=verifier_environments,
             strategies=[s.name for s in strategy_list],
-            compile_options=compile_options,
+            compiled=compiled,
             inductive=inductive,
-            max_proof_attempts=max_proof_attempts,
         )
         fingerprint = cache.fingerprint(kernel, config)
         hit = cache.get(fingerprint)
@@ -528,16 +442,10 @@ def synthesize_kernel(
             seed=seed,
             strategies=strategies,
             max_candidates=max_candidates,
-            quick_samples=quick_samples,
             verifier_environments=verifier_environments,
-            timeout=timeout,
-            compile_options=compile_options,
+            compiled=compiled,
             inductive=inductive,
-            max_proof_attempts=max_proof_attempts,
         )
-    except SynthesisTimeout:
-        # Wall-clock-dependent: never recorded as a definitive failure.
-        raise
     except SynthesisFailure as exc:
         if cache is not None and fingerprint is not None:
             cache.record_failure(fingerprint, str(exc), kernel_name=kernel.name)

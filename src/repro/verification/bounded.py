@@ -147,12 +147,13 @@ _MEMO_MAX = 1 << 14
 class BoundedVerifier:
     """The checking hierarchy: random concrete search plus bounded symbolic proof.
 
-    ``compile_options`` selects how checks are evaluated: when enabled
-    (the default) the kernel, the VC clauses and every candidate
-    formula are compiled once into generated code (:mod:`repro.compile`)
-    and the checks run through the compiled forms; when disabled
-    everything goes through the original tree-walking interpreters.
-    The two are bit-identical by construction.
+    ``compiled`` selects how checks are evaluated: when true (the
+    default) the kernel, the VC clauses and every candidate formula are
+    compiled once into generated code (:mod:`repro.compile`) and the
+    checks run through the compiled forms; when false everything goes
+    through the original tree-walking interpreters.  The two are
+    bit-identical by construction.  :attr:`check` is the chosen
+    whole-VC check, ``check(state, candidate) -> failed clause or None``.
 
     One verifier serves every candidate of one kernel, and ``verify``
     memoises the work candidates share (see :meth:`verify`).
@@ -164,19 +165,17 @@ class BoundedVerifier:
         environments: Optional[List[Dict[str, int]]] = None,
         num_environments: int = 2,
         seed: int = 0,
-        compile_options=None,
+        compiled: bool = True,
     ):
-        from repro.compile import CompileOptions, CompiledCollector, CompiledVC
+        from repro.compile import CompiledCollector, CompiledVC
 
         self.vc = vc
         self.kernel = vc.kernel
         self.seed = seed
-        self.compile_options = CompileOptions.coerce(compile_options)
-        self._compiled_vc = None
-        self._compiled_collector = None
-        if self.compile_options.enabled:
-            self._compiled_vc = CompiledVC(vc)
-            self._compiled_collector = CompiledCollector(self.kernel)
+        self.compiled = compiled
+        self._compiled_vc = CompiledVC(vc) if compiled else None
+        self._compiled_collector = CompiledCollector(self.kernel) if compiled else None
+        self.check = self._compiled_vc.check if compiled else vc.check
         # Deep loop nests (5-D kernels, multi-level tiling) explode the number
         # of counter combinations; scale the sampling budget down so the
         # per-kernel verification cost stays roughly constant.
@@ -216,7 +215,7 @@ class BoundedVerifier:
     ) -> Optional[State]:
         """Search for a counterexample among reachable concrete states."""
         rng = rng or random.Random(self.seed + 17)
-        check = self._compiled_vc.check if self._compiled_vc is not None else self.vc.check
+        check = self.check
         for _ in range(samples):
             env = rng.choice(self.environments)
             initial = make_concrete_state(self.kernel, env, rng, field_values=True)
@@ -460,7 +459,7 @@ class BoundedVerifier:
         return state
 
     def _eval_loop_upper(self, loop: ir.Loop, state: State):
-        if self.compile_options.enabled:
+        if self.compiled:
             from repro.compile import compile_ir_expr
 
             return compile_ir_expr(loop.upper)(state)
@@ -468,7 +467,7 @@ class BoundedVerifier:
 
     def _instantiate_invariant(self, invariant: Invariant, state: State) -> bool:
         """Mutate ``state`` so it satisfies ``invariant``; False when impossible."""
-        if self.compile_options.enabled:
+        if self.compiled:
             from repro.compile import compile_invariant_instantiator
 
             return compile_invariant_instantiator(invariant)(state)

@@ -455,6 +455,18 @@ def test_pruning_preserves_the_winner_and_cuts_objective_calls(monkeypatch):
     assert checked_obj.calls == unchecked_obj.calls - checked.pruned_duplicate
 
 
+def test_pruned_sensible_seed_leaves_the_default_first_in_history():
+    func = _self_read_func(-1)
+    space = ScheduleSpace(func.dimensions)
+    checker = ScheduleChecker(func)
+    assert not checker.is_legal(space.sensible_schedule())
+    result = MultiArmedBanditTuner(
+        space, _CanonicalCostObjective(func.dimensions), seed=7, legality=checker
+    ).tune(budget=20)
+    assert len(result.history) == result.evaluations
+    assert result.history[0] == result.default_cost
+
+
 def test_pruning_rejects_illegal_proposals_before_evaluation():
     func = _self_read_func(-1)
     space = ScheduleSpace(func.dimensions)

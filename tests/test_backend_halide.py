@@ -24,7 +24,7 @@ from repro.perfmodel import (
     workload_from_kernel,
 )
 from repro.perfmodel.compiler import IFORT_PARALLEL_CLEAN
-from repro.suites import stencil_fortran
+from repro.suites import all_cases, stencil_fortran
 from repro.suites.base import box_3d, cross_2d
 from repro.synthesis import synthesize_kernel
 from repro.symbolic import sym
@@ -219,6 +219,24 @@ class TestAutotune:
         assert result.best_cost <= result.default_cost
         assert result.improvement >= 1.0
         assert result.best_schedule.parallel_dim is not None
+
+    def test_modeled_run_is_pinned(self):
+        # One modeled tuning run, pinned field by field: the search loop
+        # may be restructured, but not move a tuned schedule.
+        case = next(c for c in all_cases() if c.name == "heat0")
+        kernel = kernel_from_source(case.source)
+        workload = workload_from_kernel(kernel, points=case.points)
+        result = autotune(3, lambda s: HALIDE_CPU.runtime(workload, s), budget=20, seed=1)
+        assert result.best_schedule == Schedule(
+            parallel_dim=1, tile_sizes=(0, 32, 32), vector_width=8, unroll=4,
+            dim_order=(0, 1, 2),
+        )
+        best = pytest.approx(0.0017073825491315474, rel=1e-12)
+        assert result.best_cost == best
+        assert result.default_cost == pytest.approx(0.04004021235918325, rel=1e-12)
+        assert result.evaluations == 20
+        assert result.history == [pytest.approx(0.003052872858362497, rel=1e-12)] + [best] * 18
+        assert result.technique_wins == {"random": 1, "greedy-mutation": 0, "pattern-search": 0}
 
     def test_tuner_is_deterministic_for_fixed_seed(self):
         kernel = kernel_from_source(stencil_fortran("tune_me2", 2, cross_2d()))

@@ -24,8 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.fingerprint import CODE_VERSION
 from repro.compile import (
-    INTERPRETED,
-    CompileOptions,
     CompiledCollector,
     CompiledVC,
     clear_compile_caches,
@@ -498,7 +496,7 @@ class TestSynthesisEquivalence:
 
         compiled = synthesize_kernel(kernel_from_source(RUNNING_EXAMPLE), seed=1)
         interpreted = synthesize_kernel(
-            kernel_from_source(RUNNING_EXAMPLE), seed=1, compile_options=INTERPRETED
+            kernel_from_source(RUNNING_EXAMPLE), seed=1, compiled=False
         )
         left = result_to_payload(compiled)
         right = result_to_payload(interpreted)
@@ -562,7 +560,7 @@ def _interpreted_instantiate(invariant, state):
     from repro.verification.bounded import BoundedVerifier
 
     verifier = BoundedVerifier(
-        generate_vc(kernel_from_source(RUNNING_EXAMPLE)), compile_options=INTERPRETED
+        generate_vc(kernel_from_source(RUNNING_EXAMPLE)), compiled=False
     )
     return verifier._instantiate_invariant(invariant, state)
 
@@ -630,9 +628,9 @@ def test_cold_lift_compiles_each_formula_once(builds):
 
     case = next(c for c in all_cases() if c.name == "grad0")
 
-    def lift(compile_options):
+    def lift(compiled):
         options = PipelineOptions(
-            autotune_budget=20, verifier_environments=1, compile_options=compile_options
+            autotune_budget=20, verifier_environments=1, compiled=compiled
         )
         reports = STNGPipeline(options).lift_source(
             case.source,
@@ -642,10 +640,10 @@ def test_cold_lift_compiles_each_formula_once(builds):
         )
         return [report_signature(report) for report in reports]
 
-    signatures = lift(CompileOptions())
+    signatures = lift(True)
     formulas = [build for build in builds if build[0] in {"quant", "store"}]
     assert formulas and len(set(formulas)) == len(formulas)
-    assert lift(INTERPRETED) == signatures
+    assert lift(False) == signatures
 
 
 # ---------------------------------------------------------------------------
@@ -666,27 +664,25 @@ class TestFingerprints:
             trials=2,
             seed=0,
             max_candidates=10,
-            quick_samples=2,
             verifier_environments=1,
             strategies=["dense"],
-            compile_options=CompileOptions(),
+            compiled=True,
         )
         # The whole compile section of every synthesis-store key: a new
         # field here re-keys every store, so it must be a deliberate change.
         assert config["compile"] == {"enabled": True}
+        # Settings that became constants keep their keys and values.
+        assert config["quick_samples"] == 2
+        assert config["inductive"]["max_proof_attempts"] == 12
 
     def test_toggling_compilation_changes_fingerprint(self):
         from repro.cache.fingerprint import fingerprint_synthesis
 
         kernel = kernel_from_source(RUNNING_EXAMPLE)
-        base = dict(trials=2, seed=0, max_candidates=10, quick_samples=2,
+        base = dict(trials=2, seed=0, max_candidates=10,
                     verifier_environments=1, strategies=["dense"])
-        on = fingerprint_synthesis(
-            kernel, synthesis_config(**base, compile_options=CompileOptions())
-        )
-        off = fingerprint_synthesis(
-            kernel, synthesis_config(**base, compile_options=INTERPRETED)
-        )
+        on = fingerprint_synthesis(kernel, synthesis_config(**base, compiled=True))
+        off = fingerprint_synthesis(kernel, synthesis_config(**base, compiled=False))
         assert on != off
 
     def test_pipeline_options_coerce_mapping(self):
@@ -694,10 +690,11 @@ class TestFingerprints:
 
         from repro.pipeline import PipelineOptions
 
-        options = PipelineOptions(compile_options=CompileOptions(enabled=False))
+        # The batch scheduler sends options to pool workers as a dict.
+        options = PipelineOptions(compiled=False)
         rebuilt = PipelineOptions(**asdict(options))
-        assert rebuilt.compile_options == CompileOptions(enabled=False)
-        assert isinstance(rebuilt.compile_options, CompileOptions)
+        assert rebuilt.compiled is False
+        assert rebuilt == options
 
 
 # ---------------------------------------------------------------------------

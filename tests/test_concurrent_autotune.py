@@ -21,6 +21,7 @@ from repro.autotune import (
     PreparedSchedule,
     ScheduleSpace,
 )
+from repro.autotune import tuner as tuner_module
 from repro.halide import Func, ImageParam, Schedule, Var
 from repro.perfmodel import fit_parallel_fraction
 
@@ -173,7 +174,15 @@ class TestPipelinedTuner:
         measurement = objective.measure_prepared(prepared)
         assert measurement.verified and measurement.seconds >= 0.0
 
-    def test_plain_callable_uses_serial_loop(self):
+    def test_plain_callable_runs_inline(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(tuner_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tuner_module, "ThreadPoolExecutor", RecordingPool)
         calls = []
 
         def objective(schedule):
@@ -185,6 +194,30 @@ class TestPipelinedTuner:
         )
         assert result.evaluations == 6
         assert len(calls) == 6
+        assert pools == []
+
+    def test_budget_counts_plain_evaluations(self):
+        # A budget of one evaluates the default only, for every objective.
+        calls = []
+
+        def objective(schedule):
+            calls.append(schedule)
+            return 1.0
+
+        result = MultiArmedBanditTuner(ScheduleSpace(2), objective, seed=0).tune(budget=1)
+        assert result.evaluations == 1 and calls == [Schedule.default()]
+
+    def test_sensible_seed_wins_a_tie_with_the_default(self):
+        space = ScheduleSpace(2)
+        seeds = (space.default_schedule(), space.sensible_schedule())
+
+        def objective(schedule):
+            return 1.0 if schedule in seeds else 2.0
+
+        result = MultiArmedBanditTuner(space, objective, seed=0).tune(budget=10)
+        assert result.best_schedule == space.sensible_schedule()
+        assert result.default_cost == result.best_cost == 1.0
+        assert result.history == [1.0] * 9
 
     def test_real_pipelined_tune_is_verified(self):
         """End-to-end on the real clock: every measurement bit-verified."""

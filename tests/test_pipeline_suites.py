@@ -61,6 +61,23 @@ class TestSuiteDefinitions:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "name",
+        (
+            "trials",
+            "max_candidates",
+            "verifier_environments",
+            "autotune_budget",
+            "measure_budget",
+            "measure_points",
+        ),
+    )
+    def test_counts_below_one_are_rejected(self, name):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                PipelineOptions(**{name: value})
+        assert getattr(PipelineOptions(**{name: 1}), name) == 1
+
     def test_running_example_end_to_end(self, pipeline):
         reports = pipeline.lift_source(RUNNING_EXAMPLE, suite="demo", points=POINTS_2D)
         assert len(reports) == 1

@@ -91,11 +91,13 @@ class TestScheduleStore:
             vector_width=8,
             unroll=2,
             dim_order=(2, 0, 1),
-            gpu=True,
-            gpu_block=(8, 32),
-            inline=False,
+            inline=True,
         )
-        assert schedule_from_payload(schedule_to_payload(schedule)) == schedule
+        payload = schedule_to_payload(schedule)
+        assert schedule_from_payload(payload) == schedule
+        # Records stored while Schedule had GPU fields still load.
+        legacy = dict(payload, gpu=False, gpu_block=[16, 16])
+        assert schedule_from_payload(legacy) == schedule
 
     def test_key_covers_every_ingredient(self):
         base_config = {"budget": 8, "seed": 0, "threads": 1}

@@ -109,6 +109,13 @@ class TestProtocol:
             if field.name != "seed":
                 assert getattr(options, field.name) == getattr(base, field.name), field.name
 
+    @pytest.mark.parametrize("value", (0, -1))
+    def test_out_of_range_option_rejected(self, value):
+        # Reported as invalid options, not a mid-lift crash that turns
+        # every site into a lift-failure fallback.
+        with pytest.raises(ServiceError, match="verifier_environments must be at least 1"):
+            options_from_request({"verifier_environments": value})
+
     def test_whitelist_matches_pipeline_fields(self):
         fields = set(PipelineOptions.__dataclass_fields__)
         assert OPTION_FIELDS <= fields

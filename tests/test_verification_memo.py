@@ -14,7 +14,6 @@ import dataclasses
 
 import pytest
 
-from repro.compile import CompileOptions
 from repro.pipeline import PipelineOptions
 from repro.pipeline.stng import STNGPipeline
 from repro.predicates.language import Postcondition
@@ -80,7 +79,7 @@ def _fresh_verifier(verifier: BoundedVerifier, compiled: bool = True) -> Bounded
         verifier.vc,
         environments=verifier.environments,
         seed=verifier.seed,
-        compile_options=CompileOptions(enabled=compiled),
+        compiled=compiled,
     )
 
 
