@@ -20,18 +20,6 @@ parallel fraction from the largest grid's timings
 (:func:`repro.perfmodel.fit_parallel_fraction`), giving the roofline
 model measured parallelism ground truth in the published JSON.
 
-Two model checks then run on the rows just measured.  The GPU columns of
-Table 1 come from an analytical model
-(:data:`repro.perfmodel.compiler.HALIDE_GPU`) that cannot be validated
-against device wall clock offline, but it can be checked for ordinal
-consistency: when the measured native times say grid A is decisively
-slower than grid B, the model's predicted kernel times must rank the
-pair the same way.  Pairs whose measured ratio sits under a noise floor
-are skipped: the small grids are dispatch-bound and sub-microsecond,
-where measured ordering is scheduler noise, not workload signal.  And
-the thread rows of the largest grid must agree with their fitted
-parallel fraction.
-
 Skipped entirely when no C toolchain is available (``$REPRO_CC``,
 ``cc``, ``gcc`` or ``clang``).
 """
@@ -40,7 +28,6 @@ from __future__ import annotations
 
 import json
 import time
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +39,7 @@ from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
 from repro.halide import Schedule, compile_loop_nest, lower
 from repro.native import compile_nest_native, find_toolchain
-from repro.perfmodel import fit_parallel_fraction, workload_from_func
-from repro.perfmodel.compiler import HALIDE_GPU
+from repro.perfmodel import fit_parallel_fraction
 from repro.suites.registry import cases_for_suite
 from repro.synthesis import synthesize_kernel
 
@@ -65,9 +51,6 @@ KERNEL_NAME = "ackl94"  # CloverLeaf, 2-D wide cross, plain (Table 1)
 GRIDS = (8, 16, 32, 64, 128)
 REPEATS = 5
 THREAD_COUNTS = (1, 2, 4)
-# The measured ratio a grid pair must exceed before its ordering counts
-# as signal.  Small-grid rows are dominated by per-call dispatch.
-NOISE_FLOOR = 1.5
 
 
 def _lift_stencil():
@@ -87,44 +70,6 @@ def _time_runner(runner, domain, inputs, params):
         out = runner(domain, inputs, None, params)
         best = min(best, time.perf_counter() - started)
     return best, out
-
-
-def _check_gpu_model_ranking(func, name, rows):
-    """The GPU model must rank decisively different grids like native times."""
-    rows = [r for r in rows if r["native_seconds"] > 0]
-    assert len(rows) >= 2, "too few timing rows to rank"
-    checked = 0
-    for small, large in combinations(rows, 2):
-        measured_ratio = large["native_seconds"] / small["native_seconds"]
-        if max(measured_ratio, 1.0 / measured_ratio) <= NOISE_FLOOR:
-            continue
-        predicted_small, predicted_large = (
-            HALIDE_GPU.runtime(
-                workload_from_func(func, name, row["grid"] ** func.dimensions),
-                include_transfer=False,
-            )
-            for row in (small, large)
-        )
-        agree = (measured_ratio > 1.0) == (predicted_large > predicted_small)
-        assert agree, (
-            f"model ranks grids {small['grid']}/{large['grid']} against the "
-            f"measured native ordering (measured ratio {measured_ratio:.2f}, "
-            f"predicted {predicted_small:.3e}s vs {predicted_large:.3e}s)"
-        )
-        checked += 1
-    assert checked > 0, (
-        f"no grid pair exceeded the {NOISE_FLOOR}x noise floor; "
-        "widen the grid sweep"
-    )
-
-
-def _check_thread_rows(parallel_fraction, times):
-    """The fitted Amdahl fraction must explain the largest grid's rows."""
-    assert 0.0 <= parallel_fraction <= 1.0
-    assert 1 in times
-    # A fitted fraction above zero requires some measured scaling.
-    if parallel_fraction > 0.2:
-        assert min(times.values()) < times[1]
 
 
 def test_native_dispatch_vs_python(benchmark, capsys, tmp_path):
@@ -245,9 +190,6 @@ def test_native_dispatch_vs_python(benchmark, capsys, tmp_path):
             if seconds is not None:
                 print(f"grid {largest:4d} @ {threads} thread(s): {seconds * 1e6:9.1f}us")
         print(f"fitted parallel fraction: {parallel_fraction:.3f}")
-
-    _check_gpu_model_ranking(func, case.name, rows)
-    _check_thread_rows(parallel_fraction, largest_times)
 
     # The point of the native backend: on the smallest grid — the
     # dispatch-bound regime — compiled dispatch must win outright.
