@@ -264,8 +264,6 @@ def parallel_band_race_free(nest) -> bool:
     bounds are domain-pure by construction; the structural check here
     is defensive, not decorative.
     """
-    from repro.halide.loopir import Loop, LoopVar
-
     parallel = None
     for loop in nest.loops():
         if loop.kind == "parallel":

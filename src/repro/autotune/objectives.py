@@ -24,8 +24,8 @@ optimises real executions too, not just the model.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 

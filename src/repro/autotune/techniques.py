@@ -11,10 +11,9 @@ which technique gets to propose next.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.autotune.space import TILE_CHOICES, UNROLL_CHOICES, VECTOR_CHOICES, ScheduleSpace
+from repro.autotune.space import UNROLL_CHOICES, VECTOR_CHOICES, ScheduleSpace
 from repro.halide.schedule import Schedule
 
 

@@ -96,10 +96,13 @@ class MultiArmedBanditTuner:
         before spending any compile/measure budget on them and (b)
         replays the cached cost of a traversal it has already measured
         (two distinct ``Schedule`` values lowering to the same nest)
-        instead of measuring it again.  The candidate stream, rewards
-        and incumbent match the unchecked run exactly — the pruning is
-        observable only in the objective's evaluation count and the
-        ``pruned_*`` fields of the result.
+        instead of measuring it again.  While every proposal is legal,
+        the candidate stream, rewards and incumbent match the unchecked
+        run exactly, and the pruning shows only in the objective's
+        evaluation count and the ``pruned_*`` fields of the result.  An
+        illegal proposal is rewarded 0 and not evaluated, where the
+        unchecked run evaluates it and rewards its cost, so from the
+        first illegal proposal on the two runs may part ways.
         """
         self.space = space
         self.objective = objective

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.flatten import FlattenInfo
 from repro.symbolic.expr import Const, Expr, sym
-from repro.symbolic.simplify import collect_affine, simplify, substitute
+from repro.symbolic.simplify import simplify, substitute
 from repro.templates.irsym import ir_to_sym
 
 
@@ -69,7 +69,7 @@ def recover_multidim_access(
                 raise AccessorRecoveryError("lower bound does not evaluate under the sample env")
             lowers.append(int(folded.value))
         # Probe a few points of the quantified space.
-        for probe in _probe_points(index_vars, env):
+        for probe in _probe_points(index_vars):
             bindings = {**env, **probe}
             folded = simplify(substitute(flat_index, bindings))
             if not isinstance(folded, Const):
@@ -93,7 +93,7 @@ def recover_multidim_access(
     return tuple(result)
 
 
-def _probe_points(index_vars: Sequence[str], env: Dict[str, int]) -> List[Dict[str, int]]:
+def _probe_points(index_vars: Sequence[str]) -> List[Dict[str, int]]:
     base = {var: 1 + i for i, var in enumerate(index_vars)}
     probes = [dict(base)]
     for var in index_vars:

@@ -12,7 +12,7 @@ so the glue code passes them at call time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.halide import lang
 from repro.halide.cppgen import emit_cpp

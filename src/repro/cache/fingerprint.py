@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, List, Mapping
 
 from repro.ir import nodes as ir
 

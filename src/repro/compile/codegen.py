@@ -511,7 +511,7 @@ def gen_conjunct_store_fn(conjunct) -> Callable:
     """Compile one invariant conjunct into a single storing function.
 
     The compiled twin of the conjunct loop in
-    ``BoundedVerifier._instantiate_invariant``: every assignment's
+    ``predicates.evaluate.instantiate_invariant``: every assignment's
     right-hand side is stored into the output array.  Index coercion
     uses the default ``require_int`` context, and evaluation errors
     propagate raw for the caller to absorb, exactly as interpreted.
@@ -629,23 +629,21 @@ def gen_ir_condition_fn(expr: ir.ValueExpr) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# IR statements (plain execution and snapshotting collector)
+# IR statements (plain execution, and execution plus snapshots)
 # ---------------------------------------------------------------------------
 
 from repro.semantics.exec import MAX_ITERATIONS as _MAX_ITERATIONS
 
 
 def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, snapshot: bool) -> None:
+    """Emit ``execute_statement(stmt, state)``.
+
+    With ``snapshot`` the code also calls ``snapshot(state)`` at the
+    loop cut points where ``execute_statement`` calls its ``cut_point``.
+    """
     if isinstance(stmt, ir.Block):
         for inner in stmt.statements:
             _emit_stmt(em, inner, depth, snapshot)
-        return
-    if snapshot and not isinstance(stmt, ir.Loop):
-        # The collector only treats blocks and loops specially; any other
-        # statement runs through plain execution semantics (conditionals
-        # containing loops regain the iteration budget, exactly as the
-        # interpreted collector delegates to ``execute_statement``).
-        _emit_stmt(em, stmt, depth, snapshot=False)
         return
     if isinstance(stmt, ir.Assign):
         value = _emit_ir_expr(em, stmt.value, depth)
@@ -673,16 +671,10 @@ def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, snapshot: bool) -> None:
         counter = em.const(stmt.counter)
         value = _emit_copy(em, _emit_ir_expr(em, stmt.lower, depth), depth)
         bound = _emit_copy(em, _emit_ir_expr(em, stmt.upper, depth), depth)
-        if snapshot:
-            # The reachable-state collector coerces with the default
-            # context and applies no iteration budget.
-            _emit_require_int(em, value, em.const("index"), depth)
-            _emit_require_int(em, bound, em.const("index"), depth)
-        else:
-            _emit_require_int(em, value, em.const("loop lower bound"), depth)
-            _emit_require_int(em, bound, em.const("loop upper bound"), depth)
-            iterations = em.temp()
-            em.emit(f"{iterations} = 0", depth)
+        _emit_require_int(em, value, em.const("loop lower bound"), depth)
+        _emit_require_int(em, bound, em.const("loop upper bound"), depth)
+        iterations = em.temp()
+        em.emit(f"{iterations} = 0", depth)
         loop_op = ">=" if stmt.step < 0 else "<="
         em.emit(f"while {value} {loop_op} {bound}:", depth)
         em.emit(f"state.scalars[{counter}] = {value}", depth + 1)
@@ -690,13 +682,12 @@ def _emit_stmt(em: _Emitter, stmt: ir.Stmt, depth: int, snapshot: bool) -> None:
             em.emit("snapshot(state)", depth + 1)
         _emit_stmt(em, stmt.body, depth + 1, snapshot)
         em.emit(f"{value} += {stmt.step}", depth + 1)
-        if not snapshot:
-            em.emit(f"{iterations} += 1", depth + 1)
-            em.emit(f"if {iterations} > {_MAX_ITERATIONS}:", depth + 1)
-            overflow = em.const(
-                f"loop over {stmt.counter!r} exceeded {_MAX_ITERATIONS} iterations"
-            )
-            em.emit(f"raise ExecutionError({overflow})", depth + 2)
+        em.emit(f"{iterations} += 1", depth + 1)
+        em.emit(f"if {iterations} > {_MAX_ITERATIONS}:", depth + 1)
+        overflow = em.const(
+            f"loop over {stmt.counter!r} exceeded {_MAX_ITERATIONS} iterations"
+        )
+        em.emit(f"raise ExecutionError({overflow})", depth + 2)
         em.emit(f"state.scalars[{counter}] = {value}", depth)
         if snapshot:
             em.emit("snapshot(state)", depth)
@@ -728,7 +719,11 @@ def gen_stmt_fn(stmt: ir.Stmt) -> Callable:
 
 
 def gen_collector_fn(stmt: ir.Stmt) -> Callable:
-    """Compile a kernel body into a ``(state, snapshot)`` collector executor."""
+    """Compile a statement tree into a ``(state, snapshot)`` executor.
+
+    The code of :func:`gen_stmt_fn` plus a ``snapshot(state)`` call at
+    the top of every loop iteration and after every loop exit.
+    """
     em = _Emitter()
     _emit_stmt(em, stmt, 1, snapshot=True)
     return em.build("state, snapshot", "collect")

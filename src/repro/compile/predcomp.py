@@ -273,10 +273,10 @@ def _build_invariant(invariant: Invariant) -> StatePredicate:
 # ---------------------------------------------------------------------------
 
 def compile_invariant_instantiator(invariant: Invariant) -> StatePredicate:
-    """Compiled twin of ``BoundedVerifier._instantiate_invariant``.
+    """Compiled twin of ``predicates.evaluate.instantiate_invariant``.
 
     Mutates the state so it satisfies the invariant; returns ``False``
-    when impossible.  Error handling matches the interpreted method
+    when impossible.  Error handling matches the interpreted function
     (failures are absorbed, not raised).
     """
     hit = _INST_CACHE.get(id(invariant))

@@ -7,15 +7,17 @@ evaluation order (store indices before the stored value), the same
 Fortran post-loop counter semantics, the same iteration budget and the
 same exception types and messages.
 
-``CompiledCollector`` is the compiled twin of the bounded verifier's
-reachable-state collector: it executes a kernel concretely while
-snapshotting the state at every cut point (top of each loop iteration,
-loop exit, kernel entry/exit), in exactly the interpreter's order.
+``CompiledCollector`` runs the same generated statement code with a
+snapshot call at every loop cut point (top of each loop iteration, loop
+exit): it is ``execute_statement`` with a snapshotting ``cut_point``,
+compiled.  Both collectors take their kernel entry/exit snapshots and
+their snapshot cap from
+:func:`repro.verification.bounded.collect_reachable_states`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.ir import nodes as ir
 from repro.semantics.state import State
@@ -40,11 +42,12 @@ def compile_stmt(stmt: ir.Stmt) -> StmtFn:
 
 
 class CompiledCollector:
-    """Compiled twin of the verifier's reachable-state collector.
+    """Compiled twin of the verifier's interpreted reachable-state collector.
 
-    Mirrors :class:`repro.verification.bounded._ReachableStateCollector`:
-    the same cut points, the same snapshot order, the same (context-free)
-    ``require_int`` coercions on loop bounds, and no iteration budget.
+    The interpreted collector is ``execute_statement`` with a snapshotting
+    cut-point callback; this one runs the generated statement executor
+    with the same snapshot calls, so both record the same states in the
+    same order and raise the same errors.
     """
 
     def __init__(self, kernel: ir.Kernel):
@@ -53,18 +56,7 @@ class CompiledCollector:
         self.kernel = kernel
         self._run = gen_collector_fn(kernel.body)
 
-    def collect(self, state: State, limit: Optional[int] = None) -> List[State]:
-        from repro.verification.bounded import REACHABLE_STATE_LIMIT
+    def collect(self, state: State) -> List[State]:
+        from repro.verification.bounded import collect_reachable_states
 
-        if limit is None:
-            limit = REACHABLE_STATE_LIMIT
-        states: List[State] = []
-
-        def snapshot(current: State) -> None:
-            if len(states) < limit:
-                states.append(current.copy())
-
-        snapshot(state)
-        self._run(state, snapshot)
-        snapshot(state)
-        return states
+        return collect_reachable_states(self._run, state)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.ir import nodes as ir
-from repro.ir.analysis import collect_loops, loop_counters
+from repro.ir.analysis import counter_independent_loops
 from repro.predicates.evaluate import PredicateEvalError
 from repro.semantics.exec import ExecutionError
 from repro.semantics.numeric import EvalError
@@ -29,19 +29,10 @@ from repro.compile.stmtcomp import compile_stmt
 
 def _compile_bounds_non_degenerate(kernel: ir.Kernel):
     """Compiled twin of ``repro.vcgen.hoare._bounds_non_degenerate``."""
-    counters = set(loop_counters(kernel))
-    checks = []
-    for loop in collect_loops(kernel.body):
-        mentioned = {
-            node.name
-            for bound in (loop.lower, loop.upper)
-            for node in bound.walk()
-            if isinstance(node, ir.VarRef)
-        }
-        if mentioned & counters:
-            continue
-        checks.append((compile_ir_expr(loop.lower), compile_ir_expr(loop.upper)))
-    checks = tuple(checks)
+    checks = tuple(
+        (compile_ir_expr(loop.lower), compile_ir_expr(loop.upper))
+        for loop in counter_independent_loops(kernel)
+    )
 
     def run(state, _checks=checks):
         for lower_fn, upper_fn in _checks:
@@ -103,7 +94,7 @@ class CompiledClause:
 
     # -- evaluation ---------------------------------------------------------
     def premises_hold(self, state: State, candidate: CandidateSummary) -> bool:
-        """Compiled twin of ``VCClause._premises_hold``."""
+        """Compiled twin of ``VCClause.premises_hold``."""
         for counter_name, lower_fn, step in self._alignment:
             try:
                 value = require_int(state.scalar(counter_name))
@@ -156,7 +147,7 @@ class CompiledClause:
         return self.holds_after_premises(state, candidate)
 
     def holds_after_premises(self, state: State, candidate: CandidateSummary) -> bool:
-        """The conclusion check, assuming ``premises_hold`` was just true."""
+        """Compiled twin of ``VCClause.holds_after_premises``."""
         work = state.copy()
         for stmt_fn in self._prefix:
             stmt_fn(work)

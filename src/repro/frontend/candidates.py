@@ -21,7 +21,7 @@ a single code fragment, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.frontend.ast import (
     Assignment,

@@ -11,7 +11,7 @@ preconditions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.frontend.ast import (
     Assignment,
@@ -32,7 +32,7 @@ from repro.frontend.ast import (
 )
 from repro.frontend.candidates import Candidate
 from repro.frontend.lexer import tokenize
-from repro.frontend.parser import _LineParser, ParseError
+from repro.frontend.parser import _LineParser
 from repro.ir.nodes import (
     ArrayDecl,
     ArrayLoad,

@@ -442,10 +442,10 @@ class Parser:
         inner_tokens = line[lp.pos:]
         if not inner_tokens:
             raise ParseError(f"line {line[0].line}: empty one-line if")
-        inner_stmt = self._parse_inline_statement(proc, inner_tokens)
+        inner_stmt = self._parse_inline_statement(inner_tokens)
         return IfBlock(condition, [inner_stmt], [], line=line[0].line)
 
-    def _parse_inline_statement(self, proc: Procedure, tokens: List[Token]):
+    def _parse_inline_statement(self, tokens: List[Token]):
         first = tokens[0]
         if first.kind == "KEYWORD" and first.text in {"exit", "cycle", "goto", "return", "continue"}:
             return ControlStmt(first.text, line=first.line)

@@ -71,12 +71,10 @@ _NUMPY_FUNCS = {
 class _Realizer:
     """Evaluate a stage-free Func definition over one rectangular box.
 
-    The box need not be the whole output domain: the loop-nest
-    interpreter of :mod:`repro.halide.loopir` evaluates one vector span
-    at a time through the same code, which is what keeps the scheduled
-    backends bit-identical to the schedule-blind reference (numpy
-    elementwise operations depend only on the operand values, never on
-    the slab they sit in).
+    The reference :func:`realize` evaluates each (flattened) stage over
+    its whole domain, and the stage probe of :func:`flatten_stages`
+    evaluates the consumer's index expressions over the same box to
+    find each producer's required region.
     """
 
     def __init__(

@@ -12,8 +12,8 @@ it can be evaluated (by :mod:`repro.halide.executor`), printed as C++
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 

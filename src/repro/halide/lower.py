@@ -32,7 +32,7 @@ reorder traversal, never the arithmetic performed per cell.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 

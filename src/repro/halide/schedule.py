@@ -14,8 +14,8 @@ dimension order — and is consumed by two components:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 
 class ScheduleError(Exception):

@@ -12,23 +12,17 @@ modified region).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.ir.nodes import (
     ArrayLoad,
     ArrayStore,
     Assign,
-    BinOp,
     Block,
-    Compare,
-    FuncCall,
     If,
-    IntConst,
     Kernel,
     Loop,
-    RealConst,
     Stmt,
-    UnaryOp,
     ValueExpr,
     VarRef,
 )
@@ -98,6 +92,30 @@ def scalars_used(kernel: Kernel) -> List[str]:
 def collect_loops(stmt: Stmt) -> List[Loop]:
     """Return every loop in ``stmt``, outermost first (pre-order)."""
     return [s for s in iter_statements(stmt) if isinstance(s, Loop)]
+
+
+def bound_scalars(loop: Loop) -> Set[str]:
+    """Names of the scalars ``loop``'s lower and upper bounds read."""
+    return {
+        node.name
+        for bound in (loop.lower, loop.upper)
+        for node in bound.walk()
+        if isinstance(node, VarRef)
+    }
+
+
+def counter_independent_loops(kernel: Kernel) -> List[Loop]:
+    """The loops whose bounds mention no loop counter, in traversal order.
+
+    Their bounds depend on the integer inputs alone, so they can be
+    evaluated before any loop runs.  The pipeline's implicit
+    precondition is that each of them executes: symbolic execution
+    samples environments where they do, and the VC premises and the
+    inductive prover assume it.
+    """
+    loops = collect_loops(kernel.body)
+    counters = {loop.counter for loop in loops}
+    return [loop for loop in loops if not bound_scalars(loop) & counters]
 
 
 def loop_nest_depth(stmt: Stmt) -> int:

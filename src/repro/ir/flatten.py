@@ -35,7 +35,6 @@ from repro.ir.nodes import (
     Stmt,
     UnaryOp,
     ValueExpr,
-    VarRef,
 )
 
 

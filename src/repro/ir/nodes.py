@@ -18,7 +18,7 @@ The IR is a small structured imperative language:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 
 # ---------------------------------------------------------------------------

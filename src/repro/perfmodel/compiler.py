@@ -28,7 +28,6 @@ mechanisms above.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Optional
 

@@ -15,9 +15,9 @@ from repro.backend.halidegen import (
     HalideGenerationError,
     postcondition_to_func,
 )
-from repro.frontend.candidates import Candidate, CandidateReport, identify_candidates
+from repro.frontend.candidates import CandidateReport, identify_candidates
 from repro.frontend.lowering import LoweringError, lower_candidate
-from repro.frontend.parser import ParseError, parse_source
+from repro.frontend.parser import parse_source
 from repro.halide.lower import BACKENDS
 from repro.halide.schedule import Schedule
 from repro.ir.nodes import Kernel

@@ -9,8 +9,7 @@ over array indices, and any concrete state fixes the index domain.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.predicates.language import (
     Bound,
@@ -158,3 +157,35 @@ def evaluate_invariant(invariant: Invariant, state: State) -> bool:
         if not value_equal(left, right):
             return False
     return all(evaluate_quantified(c, state) for c in invariant.conjuncts)
+
+
+def instantiate_invariant(invariant: Invariant, state: State) -> bool:
+    """Mutate ``state`` so it satisfies ``invariant``; False when impossible.
+
+    Evaluation failures return ``False`` rather than raise.  The bounded
+    verifier builds its premise states with this or with its compiled
+    twin, :func:`repro.compile.compile_invariant_instantiator`.
+    """
+    for ineq in invariant.inequalities:
+        try:
+            if not _check_inequality(ineq, state):
+                return False
+        except PredicateEvalError:
+            return False
+    for eq in invariant.equalities:
+        try:
+            state.set_scalar(eq.var, eval_sym_expr(eq.rhs, state, {}))
+        except (EvalError, TypeError):
+            return False
+    for conjunct in invariant.conjuncts:
+        try:
+            for assignment in iterate_assignments(conjunct.bounds, state, {}):
+                indices = tuple(
+                    require_int(eval_sym_expr(i, state, assignment))
+                    for i in conjunct.out_eq.indices
+                )
+                value = eval_sym_expr(conjunct.out_eq.rhs, state, assignment)
+                state.array(conjunct.out_eq.array).store(indices, value)
+        except (PredicateEvalError, EvalError, TypeError):
+            return False
+    return True

@@ -18,10 +18,10 @@ structure around them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
-from repro.symbolic.expr import ArrayCell, Call, Const, Expr, Sym
+from repro.symbolic.expr import ArrayCell, Expr, Sym
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,12 @@ rules.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.ir.nodes import Kernel
 from repro.ir.analysis import output_arrays
-from repro.predicates.language import (
-    Postcondition,
-    QuantifiedConstraint,
-    rhs_has_non_output_term,
-)
+from repro.predicates.language import Postcondition, rhs_has_non_output_term
 from repro.semantics.state import State
-from repro.symbolic.expr import ArrayCell, Sym
 
 
 class RestrictionViolation(Exception):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.ir import nodes as ir
 from repro.semantics import numeric

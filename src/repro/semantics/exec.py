@@ -1,10 +1,13 @@
 """Executable semantics of the IR: run kernels and statements on states.
 
-The same executor serves three purposes in the pipeline:
+:func:`execute_statement` is the one tree-walking IR statement executor.
+It serves every purpose in the pipeline:
 
-* counterexample search during CEGIS runs it on concrete random states;
+* counterexample search during CEGIS runs it on concrete random states,
+  snapshotting the state at every cut point (``cut_point``);
 * concrete-symbolic execution for inductive template generation (§4.2)
-  runs it with concrete loop bounds but symbolic array cells;
+  runs it with concrete loop bounds but symbolic array cells, recording
+  the scalars at the top of every loop iteration (``cut_point``);
 * the reference interpreter in the benchmark harness runs whole
   kernels to produce the baseline output the Halide executor is checked
   against.
@@ -17,7 +20,7 @@ the dedicated machinery in :mod:`repro.synthesis.conditionals`).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.ir import nodes as ir
 from repro.semantics.evalexpr import EvalError, eval_ir_condition, eval_ir_expr
@@ -62,11 +65,25 @@ def loop_counter_values(lower: int, upper: int, step: int) -> range:
     return range(lower, lower + (trips + 1) * step, step)
 
 
-def execute_statement(stmt: ir.Stmt, state: State, max_iterations: int = MAX_ITERATIONS) -> State:
-    """Execute ``stmt`` in-place on ``state`` and return the state."""
+# ``cut_point(state, loop)`` is called at the top of every iteration of
+# ``loop``, after its counter is set, and ``cut_point(state, None)``
+# right after every loop exits, its counter holding the exit value.
+CutPoint = Callable[[State, Optional[ir.Loop]], None]
+
+
+def execute_statement(
+    stmt: ir.Stmt,
+    state: State,
+    max_iterations: int = MAX_ITERATIONS,
+    cut_point: Optional[CutPoint] = None,
+) -> State:
+    """Execute ``stmt`` in-place on ``state`` and return the state.
+
+    ``max_iterations`` bounds each run of each loop; see :data:`CutPoint`.
+    """
     if isinstance(stmt, ir.Block):
         for inner in stmt.statements:
-            execute_statement(inner, state, max_iterations)
+            execute_statement(inner, state, max_iterations, cut_point)
         return state
     if isinstance(stmt, ir.Assign):
         state.set_scalar(stmt.target, eval_ir_expr(stmt.value, state))
@@ -88,7 +105,9 @@ def execute_statement(stmt: ir.Stmt, state: State, max_iterations: int = MAX_ITE
         iterations = 0
         while counter <= upper if step > 0 else counter >= upper:
             state.set_scalar(stmt.counter, counter)
-            execute_statement(stmt.body, state, max_iterations)
+            if cut_point is not None:
+                cut_point(state, stmt)
+            execute_statement(stmt.body, state, max_iterations, cut_point)
             counter += step
             iterations += 1
             if iterations > max_iterations:
@@ -98,6 +117,8 @@ def execute_statement(stmt: ir.Stmt, state: State, max_iterations: int = MAX_ITE
         # Fortran semantics: after the loop the counter holds the first
         # value that failed the test.
         state.set_scalar(stmt.counter, counter)
+        if cut_point is not None:
+            cut_point(state, None)
         return state
     if isinstance(stmt, ir.If):
         try:
@@ -105,9 +126,9 @@ def execute_statement(stmt: ir.Stmt, state: State, max_iterations: int = MAX_ITE
         except EvalError as exc:
             raise ExecutionError(f"cannot execute conditional: {exc}") from exc
         if taken:
-            execute_statement(stmt.then_body, state, max_iterations)
+            execute_statement(stmt.then_body, state, max_iterations, cut_point)
         elif stmt.else_body is not None:
-            execute_statement(stmt.else_body, state, max_iterations)
+            execute_statement(stmt.else_body, state, max_iterations, cut_point)
         return state
     raise ExecutionError(f"cannot execute statement {stmt!r}")
 

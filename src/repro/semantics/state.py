@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.symbolic.expr import Expr, cell as sym_cell
 from repro.symbolic.simplify import simplify

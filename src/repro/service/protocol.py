@@ -71,6 +71,10 @@ OPTION_FIELDS = frozenset(
     }
 )
 
+# The one option that is a JSON boolean; every other option is a JSON
+# integer, and a boolean is not taken for one.
+BOOLEAN_OPTIONS = frozenset({"inductive"})
+
 TERMINAL_EVENTS = frozenset({"done", "error"})
 
 PHASES = ("scan", "lift", "prove", "translate")
@@ -99,7 +103,12 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 
 
 def normalize_options(options: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Validate a request's options dict against the whitelist."""
+    """Validate a request's options dict against the whitelist and types.
+
+    A value of the wrong JSON type is refused rather than coerced, so a
+    request that lifts is one that any equivalent request fingerprints
+    alike.
+    """
     if options is None:
         return {}
     if not isinstance(options, Mapping):
@@ -109,6 +118,11 @@ def normalize_options(options: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         raise ServiceError(
             f"unknown options {unknown}; allowed: {sorted(OPTION_FIELDS)}"
         )
+    for name, value in options.items():
+        expected = bool if name in BOOLEAN_OPTIONS else int
+        if type(value) is not expected:
+            kind = "boolean" if expected is bool else "integer"
+            raise ServiceError(f"option {name} must be a JSON {kind}, not {value!r}")
     return {name: options[name] for name in sorted(options)}
 
 

@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.suites.base import (
-    KernelCase,
-    box_3d,
-    cross_2d,
-    cross_3d,
-    pair_1d_2d,
-    stencil_fortran,
-)
+from repro.suites.base import KernelCase, box_3d, cross_2d, cross_3d, stencil_fortran
 
 # Smaller default problem sizes keep the analytic models in a realistic
 # regime without affecting ratios (they cancel in the speedups).

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
 
 Number = Union[int, float, Fraction]
 

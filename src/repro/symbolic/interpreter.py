@@ -18,13 +18,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import nodes as ir
-from repro.ir.analysis import collect_loops, free_scalar_inputs, loop_counters, output_arrays
+from repro.ir.analysis import (
+    collect_loops,
+    counter_independent_loops,
+    free_scalar_inputs,
+    iter_statements,
+    loop_counters,
+    output_arrays,
+)
 from repro.semantics.evalexpr import EvalError, eval_ir_expr
+from repro.semantics.exec import ExecutionError, execute_statement
 from repro.semantics.state import State, Value, fresh_symbolic_array, require_int
-from repro.symbolic.expr import Expr, sym
+from repro.symbolic.expr import Expr, as_expr, sym
 
 
 class SymbolicExecutionError(Exception):
@@ -69,80 +77,15 @@ class SymbolicRun:
 SYMBOLIC_EXECUTION_BUDGET = 200_000
 
 
-class _RecordingExecutor:
-    """IR executor that records iteration-start snapshots per loop."""
-
-    def __init__(self, kernel: ir.Kernel, max_iterations: int = SYMBOLIC_EXECUTION_BUDGET):
-        self.kernel = kernel
-        self.max_iterations = max_iterations
-        self.snapshots: List[IterationSnapshot] = []
-        self._loop_ids: Dict[int, str] = {}
-        self._counter_counts: Dict[str, int] = {}
-        self._counter_names = frozenset(loop_counters(kernel))
-        self._iterations = 0
-        for loop in collect_loops(kernel.body):
-            count = self._counter_counts.get(loop.counter, 0)
-            self._counter_counts[loop.counter] = count + 1
-            loop_id = loop.counter if count == 0 else f"{loop.counter}#{count}"
-            self._loop_ids[id(loop)] = loop_id
-
-    def loop_id(self, loop: ir.Loop) -> str:
-        return self._loop_ids[id(loop)]
-
-    def run(self, state: State) -> State:
-        self._execute(self.kernel.body, state)
-        return state
-
-    def _execute(self, stmt: ir.Stmt, state: State) -> None:
-        if isinstance(stmt, ir.Block):
-            for inner in stmt.statements:
-                self._execute(inner, state)
-            return
-        if isinstance(stmt, ir.Assign):
-            state.set_scalar(stmt.target, eval_ir_expr(stmt.value, state))
-            return
-        if isinstance(stmt, ir.ArrayStore):
-            indices = tuple(
-                require_int(eval_ir_expr(i, state), context=f"store index of {stmt.array}")
-                for i in stmt.indices
-            )
-            state.array(stmt.array).store(indices, eval_ir_expr(stmt.value, state))
-            return
-        if isinstance(stmt, ir.Loop):
-            lower = require_int(eval_ir_expr(stmt.lower, state), context="loop lower bound")
-            upper = require_int(eval_ir_expr(stmt.upper, state), context="loop upper bound")
-            if stmt.step == 0:
-                raise SymbolicExecutionError("loop step must be non-zero")
-            counter = lower
-            loop_id = self.loop_id(stmt)
-            while counter <= upper if stmt.step > 0 else counter >= upper:
-                state.set_scalar(stmt.counter, counter)
-                self._record(loop_id, state)
-                self._execute(stmt.body, state)
-                counter += stmt.step
-                self._iterations += 1
-                if self._iterations > self.max_iterations:
-                    raise SymbolicExecutionError("symbolic execution exceeded the iteration budget")
-            state.set_scalar(stmt.counter, counter)
-            return
-        if isinstance(stmt, ir.If):
-            raise SymbolicExecutionError(
-                "kernels with conditionals are not executed symbolically by the default pipeline"
-            )
-        raise SymbolicExecutionError(f"cannot execute statement {stmt!r}")
-
-    def _record(self, loop_id: str, state: State) -> None:
-        counters: Dict[str, int] = {}
-        scalars: Dict[str, Value] = {}
-        for name, value in state.scalars.items():
-            if name in self._counter_names:
-                try:
-                    counters[name] = require_int(value)
-                except TypeError:
-                    continue
-            else:
-                scalars[name] = value
-        self.snapshots.append(IterationSnapshot(loop_id=loop_id, counters=counters, scalars=scalars))
+def _loop_ids(kernel: ir.Kernel) -> Dict[int, str]:
+    """Loop id per loop object: its counter, ``counter#k`` for the k-th reuse."""
+    ids: Dict[int, str] = {}
+    counts: Dict[str, int] = {}
+    for loop in collect_loops(kernel.body):
+        count = counts.get(loop.counter, 0)
+        counts[loop.counter] = count + 1
+        ids[id(loop)] = loop.counter if count == 0 else f"{loop.counter}#{count}"
+    return ids
 
 
 def build_symbolic_state(kernel: ir.Kernel, int_env: Dict[str, int]) -> State:
@@ -162,24 +105,56 @@ def build_symbolic_state(kernel: ir.Kernel, int_env: Dict[str, int]) -> State:
 
 
 def symbolic_execute(kernel: ir.Kernel, int_env: Dict[str, int]) -> SymbolicRun:
-    """Execute ``kernel`` with the given concrete integer environment."""
+    """Execute ``kernel`` with the given concrete integer environment.
+
+    The kernel runs through :func:`repro.semantics.exec.execute_statement`,
+    whose cut-point callback records the iteration snapshots and charges
+    every iteration to the whole-run :data:`SYMBOLIC_EXECUTION_BUDGET`.
+    """
+    if any(isinstance(stmt, ir.If) for stmt in iter_statements(kernel.body)):
+        raise SymbolicExecutionError(
+            "kernels with conditionals are not executed symbolically by the default pipeline"
+        )
     state = build_symbolic_state(kernel, int_env)
-    executor = _RecordingExecutor(kernel)
-    executor.run(state)
+    loop_ids = _loop_ids(kernel)
+    counter_names = frozenset(loop_counters(kernel))
+    snapshots: List[IterationSnapshot] = []
+
+    def record(current: State, loop: Optional[ir.Loop]) -> None:
+        if loop is None:
+            return
+        if len(snapshots) >= SYMBOLIC_EXECUTION_BUDGET:
+            raise SymbolicExecutionError("symbolic execution exceeded the iteration budget")
+        counters: Dict[str, int] = {}
+        scalars: Dict[str, Value] = {}
+        for name, value in current.scalars.items():
+            if name in counter_names:
+                try:
+                    counters[name] = require_int(value)
+                except TypeError:
+                    continue
+            else:
+                scalars[name] = value
+        snapshots.append(
+            IterationSnapshot(loop_id=loop_ids[id(loop)], counters=counters, scalars=scalars)
+        )
+
+    try:
+        execute_statement(kernel.body, state, cut_point=record)
+    except ExecutionError as exc:
+        raise SymbolicExecutionError(str(exc)) from exc
     observations: List[CellObservation] = []
     for array in output_arrays(kernel):
         for index in state.array(array).written_indices():
             value = state.array(array).load(index)
             if not isinstance(value, Expr):
-                from repro.symbolic.expr import as_expr
-
                 value = as_expr(value)
             observations.append(CellObservation(array=array, index=index, value=value))
     return SymbolicRun(
         int_env=dict(int_env),
         state=state,
         observations=observations,
-        snapshots=executor.snapshots,
+        snapshots=snapshots,
     )
 
 
@@ -198,22 +173,6 @@ def _integer_inputs(kernel: ir.Kernel) -> List[str]:
         if decl_types.get(name, "integer") == "integer" and name not in names and name not in counters:
             names.append(name)
     return names
-
-
-def _counter_independent_loops(kernel: ir.Kernel) -> List[ir.Loop]:
-    """The loops whose bounds mention no loop counter, in traversal order."""
-    counters = set(loop_counters(kernel))
-    loops: List[ir.Loop] = []
-    for loop in collect_loops(kernel.body):
-        mentioned = {
-            node.name
-            for bound in (loop.lower, loop.upper)
-            for node in bound.walk()
-            if isinstance(node, ir.VarRef)
-        }
-        if not mentioned & counters:
-            loops.append(loop)
-    return loops
 
 
 def _environment_is_valid(
@@ -255,7 +214,7 @@ def choose_integer_environments(
     """
     rng = random.Random(seed)
     names = _integer_inputs(kernel)
-    loops = _counter_independent_loops(kernel)
+    loops = counter_independent_loops(kernel)
     environments: List[Dict[str, int]] = []
     attempts = 0
     while len(environments) < count and attempts < 8000:

@@ -45,7 +45,7 @@ from repro.symbolic.interpreter import (
     run_inductive_executions,
 )
 from repro.templates.generator import TemplateGenerationError, generate_templates
-from repro.vcgen.hoare import CandidateSummary, VCProblem, generate_vc
+from repro.vcgen.hoare import CandidateSummary, generate_vc
 from repro.verification.bounded import BoundedVerifier, VerificationResult
 from repro.verification.inductive import (
     INDUCTIVE_PROVER_VERSION,

@@ -22,13 +22,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.ir import nodes as ir
-from repro.ir.analysis import input_arrays, output_arrays
-from repro.predicates.language import Bound, OutEq, Postcondition, QuantifiedConstraint
+from repro.ir.analysis import input_arrays
+from repro.predicates.language import Postcondition, QuantifiedConstraint
 from repro.symbolic.expr import Expr, call, cell, const, sym
-from repro.vcgen.hoare import CandidateSummary
 
 
 _COMPARISONS = ("le", "ge", "lt", "gt", "eq", "ne")

@@ -28,7 +28,6 @@ postcondition conjuncts of the arrays written by earlier nests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import nodes as ir
@@ -213,7 +212,7 @@ def build_invariants(
             site_nest = [by_id[lid] for lid in site_chain]
             depth_of_this_loop = [li.loop_id for li in site_nest].index(loop_id)
             for slab_depth in range(depth_of_this_loop + 1):
-                bounds = _slab_bounds(site_nest, slab_depth, _counter_values(site_nest, loop_id))
+                bounds = _slab_bounds(site_nest, slab_depth, _counter_values(site_nest))
                 out_eq = _site_out_eq(site, post_conjunct, site_nest)
                 conjuncts.append(QuantifiedConstraint(bounds=bounds, out_eq=out_eq))
 
@@ -233,13 +232,15 @@ def _chain_prefix_matches(site_chain: List[str], loop_chain: List[str]) -> bool:
     return site_chain[: len(loop_chain)] == loop_chain
 
 
-def _counter_values(nest: Sequence[LoopInfo], current_loop_id: str) -> Dict[str, Expr]:
+def _counter_values(nest: Sequence[LoopInfo]) -> Dict[str, Expr]:
     """Counter expressions used when pinning slab dimensions.
 
-    For loops at or above the current loop the counter's current value
-    is used directly.  Loops *deeper* than the current one have no
-    meaningful counter value at this program point; they never appear
-    pinned because slabs are only generated up to the current depth.
+    Every loop of the nest maps to its counter's current value.
+    :func:`_slab_bounds` reads the entries of the loops down to the slab
+    depth only (pinned dimensions and the partial one), and the slab
+    depth never passes the invariant's own loop, so the entry of a
+    deeper loop, whose counter has no meaningful value at that program
+    point, goes unread.
     """
     return {info.loop_id: sym(info.loop.counter) for info in nest}
 

@@ -23,10 +23,10 @@ speed-up it buys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.predicates.language import Invariant, Postcondition, QuantifiedConstraint
-from repro.symbolic.expr import ArrayCell, Const, Expr, Sym
+from repro.symbolic.expr import ArrayCell, Const
 from repro.symbolic.simplify import collect_affine, simplify
 
 

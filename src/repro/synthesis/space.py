@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.compile.predcomp import _shape
 from repro.ir import nodes as ir
-from repro.ir.analysis import loop_counters, output_arrays
 from repro.predicates.language import (
     Bound,
     Invariant,
@@ -34,13 +33,7 @@ from repro.predicates.language import (
     ScalarEquality,
 )
 from repro.symbolic.expr import Expr, substitute_map, sym
-from repro.templates.antiunify import Hole
-from repro.templates.generator import (
-    MAX_OFFSET,
-    ArrayTemplate,
-    ScalarEqualityCandidate,
-    TemplateSet,
-)
+from repro.templates.generator import MAX_OFFSET, ArrayTemplate, TemplateSet
 from repro.templates.writes import WriteSiteInfo
 from repro.vcgen.hoare import CandidateSummary, VCProblem
 from repro.synthesis.invariants import build_invariants

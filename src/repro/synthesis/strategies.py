@@ -6,10 +6,13 @@ verify.  Our strategies transform the template set before the candidate
 space is built:
 
 * ``default`` — the space exactly as template generation produced it;
-* ``cross`` — index holes are restricted to "cross" (axis-aligned)
-  offsets from the output point;
-* ``box`` — index holes are restricted to offsets within a small box
-  around the output point;
+* ``cross`` — every index hole keeps only the candidates at most 2
+  away from the output point's index in that dimension (constant and
+  integer-input candidates are always kept);
+* ``box`` — the same with a bound of 1.  Neither strategy restricts a
+  candidate to axis-aligned offsets: each hole bounds the offset of one
+  index on its own.  The names are kept because they are part of every
+  synthesis-store key;
 * ``perfect_nest`` — only applicable to perfectly nested kernels; drops
   the scalar-equality search entirely (perfect nests have no rotating
   temporaries), shrinking the space.
@@ -22,13 +25,12 @@ full verifier backstops every strategy.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.ir import nodes as ir
 from repro.ir.analysis import is_perfect_nest
-from repro.symbolic.expr import Const, Expr, Sym
+from repro.symbolic.expr import Const, Expr
 from repro.symbolic.simplify import collect_affine, simplify
 from repro.templates.generator import ArrayTemplate, HoleSpace, TemplateSet
 
@@ -78,7 +80,7 @@ def _filter_holes(template: ArrayTemplate, keep: Callable[[Expr], bool]) -> Opti
     )
 
 
-def _pattern_strategy(max_offset: int, cross_only: bool):
+def _pattern_strategy(max_offset: int):
     def transform(kernel: ir.Kernel, template_set: TemplateSet) -> Optional[TemplateSet]:
         new_arrays: List[ArrayTemplate] = []
         for template in template_set.arrays:
@@ -125,7 +127,7 @@ def _perfect_nest(kernel: ir.Kernel, template_set: TemplateSet) -> Optional[Temp
 
 STRATEGIES: List[Strategy] = [
     Strategy("perfect_nest", _perfect_nest),
-    Strategy("cross", _pattern_strategy(max_offset=2, cross_only=True)),
-    Strategy("box", _pattern_strategy(max_offset=1, cross_only=False)),
+    Strategy("cross", _pattern_strategy(max_offset=2)),
+    Strategy("box", _pattern_strategy(max_offset=1)),
     Strategy("default", _default),
 ]

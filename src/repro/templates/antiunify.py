@@ -17,20 +17,9 @@ compute candidate completions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.symbolic.expr import (
-    Add,
-    ArrayCell,
-    Call,
-    Const,
-    Div,
-    Expr,
-    Mul,
-    Neg,
-    Sub,
-    Sym,
-)
+from repro.symbolic.expr import ArrayCell, Call, Const, Expr, Sym
 
 
 @dataclass(frozen=True)

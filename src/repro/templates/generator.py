@@ -23,13 +23,13 @@ paper reports for kernels beyond STNG's restrictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import nodes as ir
-from repro.ir.analysis import loop_counters, output_arrays
-from repro.symbolic.expr import ArrayCell, Const, Expr, Sym, const, sym
+from repro.ir.analysis import output_arrays
+from repro.symbolic.expr import Const, Expr, const, sym
 from repro.symbolic.interpreter import CellObservation, SymbolicRun
 from repro.symbolic.simplify import simplify
 from repro.templates.antiunify import GeneralizationResult, Hole, generalize

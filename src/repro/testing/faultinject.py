@@ -65,7 +65,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 ENV_VAR = "REPRO_FAULTS"
 

@@ -24,16 +24,17 @@ the full verifier (checked against exhaustive/symbolic state families).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import nodes as ir
+from repro.ir.analysis import counter_independent_loops
 from repro.predicates.evaluate import (
     PredicateEvalError,
     evaluate_invariant,
     evaluate_postcondition,
 )
 from repro.predicates.language import Invariant, Postcondition
-from repro.semantics.evalexpr import EvalError, compare_values, eval_ir_condition, eval_ir_expr
+from repro.semantics.evalexpr import EvalError, eval_ir_condition, eval_ir_expr
 from repro.semantics.exec import ExecutionError, execute_statement
 from repro.semantics.state import State, require_int
 
@@ -44,7 +45,7 @@ class CandidateSummary:
 
     Every invariant is implicitly strengthened with the counter-alignment
     conjunct ``(counter - lower) mod step == 0`` for every live loop:
-    the clause premises enforce it (see :meth:`VCClause._premises_hold`),
+    the clause premises enforce it (see :meth:`VCClause.premises_hold`),
     matching what the inductive prover assumes.  For step-1 loops the
     conjunct is a tautology.
     """
@@ -142,20 +143,12 @@ class VCClause:
         candidate cannot even be evaluated on the state — the CEGIS
         driver treats that as a failed candidate.
         """
-        work = state.copy()
-        if not self._premises_hold(work, candidate):
+        if not self.premises_hold(state, candidate):
             return True
-        for stmt in self.prefix:
-            execute_statement(stmt, work)
-        if self.counter_init is not None:
-            counter, lower = self.counter_init
-            work.set_scalar(counter, require_int(eval_ir_expr(lower, work), context="loop lower bound"))
-        if self.target.counter_update is not None:
-            counter, step = self.target.counter_update
-            work.set_scalar(counter, require_int(work.scalar(counter)) + step)
-        return self._target_holds(work, candidate)
+        return self.holds_after_premises(state, candidate)
 
-    def _premises_hold(self, state: State, candidate: CandidateSummary) -> bool:
+    def premises_hold(self, state: State, candidate: CandidateSummary) -> bool:
+        """True when every premise holds; reads ``state`` without writing it."""
         if not self._counters_aligned(state):
             return False
         for assumption in self.assumptions:
@@ -191,6 +184,19 @@ class VCClause:
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown assumption kind {assumption.kind!r}")
         return True
+
+    def holds_after_premises(self, state: State, candidate: CandidateSummary) -> bool:
+        """The conclusion check, on a copy, assuming ``premises_hold`` was just true."""
+        work = state.copy()
+        for stmt in self.prefix:
+            execute_statement(stmt, work)
+        if self.counter_init is not None:
+            counter, lower = self.counter_init
+            work.set_scalar(counter, require_int(eval_ir_expr(lower, work), context="loop lower bound"))
+        if self.target.counter_update is not None:
+            counter, step = self.target.counter_update
+            work.set_scalar(counter, require_int(work.scalar(counter)) + step)
+        return self._target_holds(work, candidate)
 
     def _counters_aligned(self, state: State) -> bool:
         """Alignment premise: every live strided counter sits on its grid.
@@ -230,18 +236,7 @@ def _bounds_non_degenerate(kernel: ir.Kernel, state: State) -> bool:
     depend on loop counters (tiled inner loops) are skipped since they
     cannot be evaluated before the enclosing loop runs.
     """
-    from repro.ir.analysis import collect_loops, loop_counters
-
-    counters = set(loop_counters(kernel))
-    for loop in collect_loops(kernel.body):
-        mentioned = {
-            node.name
-            for bound in (loop.lower, loop.upper)
-            for node in bound.walk()
-            if isinstance(node, ir.VarRef)
-        }
-        if mentioned & counters:
-            continue
+    for loop in counter_independent_loops(kernel):
         try:
             lower = require_int(eval_ir_expr(loop.lower, state))
             upper = require_int(eval_ir_expr(loop.upper, state))

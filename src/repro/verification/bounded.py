@@ -2,24 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.ir import nodes as ir
-from repro.ir.analysis import collect_loops, loop_counters
-from repro.predicates.evaluate import (
-    PredicateEvalError,
-    evaluate_invariant,
-    iterate_assignments,
-)
-from repro.predicates.language import Invariant
-from repro.semantics.evalexpr import EvalError, eval_ir_expr, eval_sym_expr
-from repro.semantics.exec import ExecutionError, loop_counter_values
+from repro.predicates.evaluate import PredicateEvalError, instantiate_invariant
+from repro.semantics.evalexpr import EvalError, eval_ir_expr
+from repro.semantics.exec import CutPoint, ExecutionError, execute_statement, loop_counter_values
 from repro.semantics.floatmodel import Mod7
 from repro.semantics.state import ArrayValue, State, fresh_symbolic_array, require_int
-from repro.symbolic.expr import Expr, sym
+from repro.symbolic.expr import sym
 from repro.symbolic.interpreter import (
     SymbolicExecutionError,
     choose_integer_environments,
@@ -84,54 +77,34 @@ def make_concrete_state(
 REACHABLE_STATE_LIMIT = 512
 
 
-class _ReachableStateCollector:
+def collect_reachable_states(
+    run: Callable[[State, CutPoint], object],
+    state: State,
+    limit: int = REACHABLE_STATE_LIMIT,
+) -> List[State]:
     """Execute a kernel concretely, recording the state at every cut point.
 
     Cut points are the program points where the VC's invariants are
-    asserted: the top of every loop iteration, loop exit, and kernel
-    exit.  The recorded states are genuine reachable states, so any VC
-    clause that fails on one of them witnesses a real bug in the
-    candidate summary.
+    asserted: kernel entry, the top of every loop iteration, loop exit,
+    and kernel exit.  ``run(state, snapshot)`` executes the kernel body
+    on ``state`` and calls ``snapshot`` at its loop cut points: the
+    interpreted run is :func:`~repro.semantics.exec.execute_statement`
+    with ``snapshot`` as its cut-point callback, the compiled run a
+    generated collector (:class:`repro.compile.CompiledCollector`).
+    The first ``limit`` states are kept, as copies.  They are genuine
+    reachable states, so any VC clause that fails on one of them
+    witnesses a real bug in the candidate summary.
     """
+    states: List[State] = []
 
-    def __init__(self, kernel: ir.Kernel, limit: int = REACHABLE_STATE_LIMIT):
-        self.kernel = kernel
-        self.limit = limit
-        self.states: List[State] = []
+    def snapshot(current: State, _loop: Optional[ir.Loop] = None) -> None:
+        if len(states) < limit:
+            states.append(current.copy())
 
-    def run(self, state: State) -> List[State]:
-        self._snapshot(state)
-        self._execute(self.kernel.body, state)
-        self._snapshot(state)
-        return self.states
-
-    def _snapshot(self, state: State) -> None:
-        if len(self.states) < self.limit:
-            self.states.append(state.copy())
-
-    def _execute(self, stmt: ir.Stmt, state: State) -> None:
-        from repro.semantics.exec import execute_statement
-
-        if isinstance(stmt, ir.Block):
-            for inner in stmt.statements:
-                self._execute(inner, state)
-            return
-        if isinstance(stmt, ir.Loop):
-            lower = require_int(eval_ir_expr(stmt.lower, state))
-            upper = require_int(eval_ir_expr(stmt.upper, state))
-            step = stmt.step
-            if step == 0:
-                raise ExecutionError("loop step must be non-zero")
-            counter = lower
-            while counter <= upper if step > 0 else counter >= upper:
-                state.set_scalar(stmt.counter, counter)
-                self._snapshot(state)
-                self._execute(stmt.body, state)
-                counter += step
-            state.set_scalar(stmt.counter, counter)
-            self._snapshot(state)
-            return
-        execute_statement(stmt, state)
+    snapshot(state)
+    run(state, snapshot)
+    snapshot(state)
+    return states
 
 
 # Grid-size range of the sampled integer environments, and the counter
@@ -167,15 +140,41 @@ class BoundedVerifier:
         seed: int = 0,
         compiled: bool = True,
     ):
-        from repro.compile import CompiledCollector, CompiledVC
-
         self.vc = vc
         self.kernel = vc.kernel
         self.seed = seed
-        self.compiled = compiled
-        self._compiled_vc = CompiledVC(vc) if compiled else None
-        self._compiled_collector = CompiledCollector(self.kernel) if compiled else None
-        self.check = self._compiled_vc.check if compiled else vc.check
+        # The evaluators every check runs through, chosen here once:
+        # ``_clauses`` pairs with ``vc.clauses``; ``_collect(state)``
+        # returns the reachable states of one concrete run;
+        # ``_loop_upper(loop, state)`` evaluates a loop's upper bound and
+        # ``_instantiate(invariant, state)`` is
+        # :func:`~repro.predicates.evaluate.instantiate_invariant`.
+        if compiled:
+            from repro.compile import (
+                CompiledCollector,
+                CompiledVC,
+                compile_invariant_instantiator,
+                compile_ir_expr,
+            )
+
+            compiled_vc = CompiledVC(vc)
+            self._clauses = compiled_vc.clauses
+            self.check = compiled_vc.check
+            self._collect = CompiledCollector(self.kernel).collect
+            self._loop_upper = lambda loop, state: compile_ir_expr(loop.upper)(state)
+            self._instantiate = lambda invariant, state: compile_invariant_instantiator(
+                invariant
+            )(state)
+        else:
+            body = self.kernel.body
+            self._clauses = vc.clauses
+            self.check = vc.check
+            self._collect = lambda state: collect_reachable_states(
+                lambda current, snapshot: execute_statement(body, current, cut_point=snapshot),
+                state,
+            )
+            self._loop_upper = lambda loop, state: eval_ir_expr(loop.upper, state)
+            self._instantiate = instantiate_invariant
         # Deep loop nests (5-D kernels, multi-level tiling) explode the number
         # of counter combinations; scale the sampling budget down so the
         # per-kernel verification cost stays roughly constant.
@@ -220,10 +219,7 @@ class BoundedVerifier:
             env = rng.choice(self.environments)
             initial = make_concrete_state(self.kernel, env, rng, field_values=True)
             try:
-                if self._compiled_collector is not None:
-                    states = self._compiled_collector.collect(initial.copy())
-                else:
-                    states = _ReachableStateCollector(self.kernel).run(initial.copy())
+                states = self._collect(initial.copy())
             except (ExecutionError, EvalError, TypeError):
                 continue
             for state in states:
@@ -251,21 +247,18 @@ class BoundedVerifier:
         if any(len(table) > _MEMO_MAX for table in tables):
             for table in tables:
                 table.clear()
-        compiled = self._compiled_vc is not None
-        clauses = self._compiled_vc.clauses if compiled else self.vc.clauses
         keys = self._clause_keys(candidate)
         states_checked = 0
         non_vacuous = 0
         for env_index in range(len(self.environments)):
             for combo_index in range(len(self._combinations(env_index))):
-                for clause, clause_key in zip(clauses, keys):
+                for source_clause, clause, clause_key in zip(self.vc.clauses, self._clauses, keys):
                     key = (env_index, combo_index, clause_key)
                     passed = self._passed.get(key)
                     if passed is not None:
                         states_checked += passed[0]
                         non_vacuous += passed[1]
                         continue
-                    source_clause = clause.clause if compiled else clause
                     state = self._premise_state(
                         source_clause, candidate, env_index, combo_index, clause_key[1]
                     )
@@ -274,21 +267,11 @@ class BoundedVerifier:
                         continue
                     states_checked += 1
                     try:
-                        if compiled:
-                            # The compiled clause exposes the conclusion
-                            # separately, so the premises are evaluated
-                            # exactly once per state.
-                            premised = clause.premises_hold(state, candidate)
-                            if premised:
-                                non_vacuous += 1
-                            ok = (not premised) or clause.holds_after_premises(
-                                state, candidate
-                            )
-                        else:
-                            premised = clause._premises_hold(state, candidate)
-                            if premised:
-                                non_vacuous += 1
-                            ok = clause.holds(state, candidate)
+                        # The premises are evaluated exactly once per state.
+                        premised = clause.premises_hold(state, candidate)
+                        if premised:
+                            non_vacuous += 1
+                        ok = (not premised) or clause.holds_after_premises(state, candidate)
                     except (PredicateEvalError, ExecutionError, EvalError, TypeError) as exc:
                         return VerificationResult(
                             ok=False,
@@ -416,7 +399,7 @@ class BoundedVerifier:
                 assert loop is not None
                 try:
                     counter = require_int(state.scalar(loop.counter))
-                    upper = require_int(self._eval_loop_upper(loop, state))
+                    upper = require_int(self._loop_upper(loop, state))
                 except (KeyError, EvalError, TypeError):
                     return None
                 in_range = counter <= upper
@@ -435,7 +418,7 @@ class BoundedVerifier:
                     state = self._states[key]
                 else:
                     state = state.copy()
-                    if not self._instantiate_invariant(invariant, state):
+                    if not self._instantiate(invariant, state):
                         state = None
                     self._states[key] = state
                 if state is None:
@@ -457,45 +440,3 @@ class BoundedVerifier:
                 state.arrays[decl.name] = fresh_symbolic_array(decl.name)
             self._states[key] = state
         return state
-
-    def _eval_loop_upper(self, loop: ir.Loop, state: State):
-        if self.compiled:
-            from repro.compile import compile_ir_expr
-
-            return compile_ir_expr(loop.upper)(state)
-        return eval_ir_expr(loop.upper, state)
-
-    def _instantiate_invariant(self, invariant: Invariant, state: State) -> bool:
-        """Mutate ``state`` so it satisfies ``invariant``; False when impossible."""
-        if self.compiled:
-            from repro.compile import compile_invariant_instantiator
-
-            return compile_invariant_instantiator(invariant)(state)
-        from repro.semantics.evalexpr import compare_values
-
-        for ineq in invariant.inequalities:
-            try:
-                left = eval_sym_expr(sym(ineq.var), state, {})
-                right = eval_sym_expr(ineq.upper, state, {})
-                op = "<" if ineq.strict else "<="
-                if not compare_values(op, left, right):
-                    return False
-            except (EvalError, TypeError):
-                return False
-        for eq in invariant.equalities:
-            try:
-                state.set_scalar(eq.var, eval_sym_expr(eq.rhs, state, {}))
-            except (EvalError, TypeError):
-                return False
-        for conjunct in invariant.conjuncts:
-            try:
-                for assignment in iterate_assignments(conjunct.bounds, state, {}):
-                    indices = tuple(
-                        require_int(eval_sym_expr(i, state, assignment))
-                        for i in conjunct.out_eq.indices
-                    )
-                    value = eval_sym_expr(conjunct.out_eq.rhs, state, assignment)
-                    state.array(conjunct.out_eq.array).store(indices, value)
-            except (PredicateEvalError, EvalError, TypeError):
-                return False
-        return True

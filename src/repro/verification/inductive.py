@@ -51,7 +51,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cache.fingerprint import fingerprint_kernel
@@ -295,22 +294,15 @@ class _ClauseProver:
         assigned scalar are skipped), so the fact is trivially preserved
         and is sound to assume in every clause, not just at entry.
         """
-        from repro.ir.analysis import collect_loops, iter_statements, loop_counters
+        from repro.ir.analysis import bound_scalars, counter_independent_loops, iter_statements
 
-        counters = set(loop_counters(self.vc.kernel))
         assigned = {
             stmt.target
             for stmt in iter_statements(self.vc.kernel.body)
             if isinstance(stmt, ir.Assign)
         }
-        for loop in collect_loops(self.vc.kernel.body):
-            mentioned = {
-                node.name
-                for bound in (loop.lower, loop.upper)
-                for node in bound.walk()
-                if isinstance(node, ir.VarRef)
-            }
-            if mentioned & (counters | assigned):
+        for loop in counter_independent_loops(self.vc.kernel):
+            if bound_scalars(loop) & assigned:
                 continue
             try:
                 lower = simplify(substitute(ir_to_sym(loop.lower), self.env))
@@ -687,7 +679,7 @@ class _ClauseProver:
         for fact in self.facts:
             if fact.array != goal.array:
                 continue
-            for conditions, rhs in self._fact_assignments(gamma, fact, goal):
+            for conditions, rhs in self._fact_assignments(fact, goal):
                 first_unknown: Optional[Constraint] = None
                 refuted = False
                 for condition in conditions:
@@ -740,7 +732,7 @@ class _ClauseProver:
         return (expr, strict)
 
     def _fact_assignments(
-        self, gamma: Sequence[Constraint], fact: _Fact, goal: _CellGoal
+        self, fact: _Fact, goal: _CellGoal
     ) -> Iterator[Tuple[List[Constraint], Expr]]:
         """Quantifier instantiations of a fact covering the goal cell.
 

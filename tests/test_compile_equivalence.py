@@ -39,7 +39,7 @@ from repro.compile import codegen, predcomp
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
 from repro.ir import nodes as ir
-from repro.predicates.evaluate import GUARD_OPS, evaluate_quantified
+from repro.predicates.evaluate import GUARD_OPS, evaluate_quantified, instantiate_invariant
 from repro.predicates.language import (
     Bound,
     Invariant,
@@ -476,10 +476,11 @@ def test_every_suite_kernel_executes_identically():
 
 
 def test_collector_matches_interpreted_collector():
-    from repro.verification.bounded import _ReachableStateCollector
+    from repro.verification.bounded import BoundedVerifier
 
     kernel = kernel_from_source(RUNNING_EXAMPLE)
-    interp_states = _ReachableStateCollector(kernel).run(_concrete_state(kernel, 3))
+    interpreted = BoundedVerifier(generate_vc(kernel), environments=[{}], compiled=False)
+    interp_states = interpreted._collect(_concrete_state(kernel, 3))
     compiled_states = CompiledCollector(kernel).collect(_concrete_state(kernel, 3))
     assert len(interp_states) == len(compiled_states)
     for left, right in zip(interp_states, compiled_states):
@@ -556,15 +557,6 @@ def _memo_state() -> State:
     return state
 
 
-def _interpreted_instantiate(invariant, state):
-    from repro.verification.bounded import BoundedVerifier
-
-    verifier = BoundedVerifier(
-        generate_vc(kernel_from_source(RUNNING_EXAMPLE)), compiled=False
-    )
-    return verifier._instantiate_invariant(invariant, state)
-
-
 def test_rebuilt_formulas_reuse_compiled_functions(builds):
     def compile_all():
         return (
@@ -603,7 +595,7 @@ def test_numeric_twins_compile_apart(weights):
         invariant = _invariant(constraint)
         compiled, interpreted = _memo_state(), _memo_state()
         assert compile_invariant_instantiator(invariant)(compiled)
-        assert _interpreted_instantiate(invariant, interpreted)
+        assert instantiate_invariant(invariant, interpreted)
         assert repr(compiled.arrays["a"].cells) == repr(interpreted.arrays["a"].cells)
         stored.append(repr(compiled.arrays["a"].cells))
     assert stored[0] != stored[1]

@@ -17,6 +17,7 @@ import pytest
 from repro.compile import CompiledCollector
 from repro.compile.stmtcomp import compile_stmt
 from repro.ir import nodes as ir
+from repro.semantics.evalexpr import EvalError
 from repro.semantics.exec import (
     ExecutionError,
     execute_statement,
@@ -25,7 +26,7 @@ from repro.semantics.exec import (
 )
 from repro.semantics.state import ArrayValue, State
 from repro.vcgen.hoare import generate_vc
-from repro.verification.bounded import BoundedVerifier, _ReachableStateCollector
+from repro.verification.bounded import BoundedVerifier
 
 RANGES = [
     (0, 5, 1),
@@ -141,14 +142,82 @@ class TestCounterEnumeration:
         assert {c["j"] for c in combos} == {0}
 
 
+def _interpreted_collect(kernel: ir.Kernel, state: State):
+    """The interpreted collector of ``quick_check``: ``execute_statement`` plus snapshots."""
+    verifier = BoundedVerifier(generate_vc(kernel), environments=[{}], compiled=False)
+    return verifier._collect(state)
+
+
+def _collect_outcome(collect, kernel: ir.Kernel, env):
+    """Scalars and cells of every collected state, or the error raised."""
+    state = State(scalars=dict(env), arrays={"out": ArrayValue("out")})
+    try:
+        states = collect(kernel, state)
+    except Exception as exc:
+        return ("err", type(exc), str(exc))
+    return ("ok", [(s.scalars, s.arrays["out"].cells) for s in states])
+
+
+def _compiled_collect(kernel: ir.Kernel, state: State):
+    return CompiledCollector(kernel).collect(state)
+
+
+def _guarded_kernel() -> ir.Kernel:
+    """``do j = 0, m: if (j > 0) then do i = 0, n: out(i) = i * j``."""
+    inner = ir.Loop(
+        "i",
+        ir.IntConst(0),
+        ir.VarRef("n"),
+        ir.Block([ir.ArrayStore(
+            "out", (ir.VarRef("i"),), ir.BinOp("*", ir.VarRef("i"), ir.VarRef("j"))
+        )]),
+    )
+    guarded = ir.If(ir.Compare(">", ir.VarRef("j"), ir.IntConst(0)), ir.Block([inner]))
+    outer = ir.Loop("j", ir.IntConst(0), ir.VarRef("m"), ir.Block([guarded]))
+    return ir.Kernel(
+        name="guarded",
+        params=["n", "m", "out"],
+        arrays=[ir.ArrayDecl("out", ((ir.IntConst(0), ir.VarRef("n")),))],
+        scalars=[ir.ScalarDecl("n"), ir.ScalarDecl("m"), ir.ScalarDecl("i"), ir.ScalarDecl("j")],
+        body=ir.Block([outer]),
+    )
+
+
 class TestCollectors:
     def test_collectors_agree_on_strided_and_degenerate_loops(self):
         for step, env in [(2, {"n": 2, "m": 5}), (1, {"n": 2, "m": -4})]:
             kernel = _nested_kernel(step)
-            interpreted = _ReachableStateCollector(kernel).run(
-                State(scalars=dict(env), arrays={"out": ArrayValue("out")})
+            interpreted = _interpreted_collect(
+                kernel, State(scalars=dict(env), arrays={"out": ArrayValue("out")})
             )
             compiled = CompiledCollector(kernel).collect(
                 State(scalars=dict(env), arrays={"out": ArrayValue("out")})
             )
             assert [s.scalars for s in interpreted] == [s.scalars for s in compiled]
+
+    def test_collectors_descend_into_conditionals(self):
+        kernel = _guarded_kernel()
+        env = {"n": 1, "m": 2}
+        interpreted = _collect_outcome(_interpreted_collect, kernel, env)
+        assert interpreted == _collect_outcome(_compiled_collect, kernel, env)
+        assert interpreted[0] == "ok"
+        # Entry, three tops of j, for j = 1 and 2 two tops of i plus its
+        # exit, the exit of j, and kernel exit.
+        assert len(interpreted[1]) == 1 + 3 + 2 * 3 + 1 + 1
+        assert [scalars.get("i") for scalars, _ in interpreted[1][:7]] == [
+            None, None, None, 0, 1, 2, 2
+        ]
+
+    @pytest.mark.parametrize(
+        "env,error",
+        [
+            ({"n": 2.5, "m": 1}, TypeError),  # loop upper bound inside the If
+            ({"m": 1}, EvalError),  # n unbound inside the If
+        ],
+        ids=["non-integer-bound", "unbound-bound"],
+    )
+    def test_collectors_raise_alike_inside_conditionals(self, env, error):
+        kernel = _guarded_kernel()
+        interpreted = _collect_outcome(_interpreted_collect, kernel, env)
+        assert interpreted == _collect_outcome(_compiled_collect, kernel, env)
+        assert interpreted[:2] == ("err", error)

@@ -116,6 +116,34 @@ class TestProtocol:
         with pytest.raises(ServiceError, match="verifier_environments must be at least 1"):
             options_from_request({"verifier_environments": value})
 
+    @pytest.mark.parametrize(
+        "options,kind",
+        [
+            ({"inductive": "no"}, "boolean"),
+            ({"inductive": 0}, "boolean"),
+            ({"trials": 2.5}, "integer"),
+            ({"max_candidates": 1.0}, "integer"),
+            ({"seed": True}, "integer"),
+            ({"autotune_budget": "20"}, "integer"),
+        ],
+    )
+    def test_option_of_the_wrong_type_rejected(self, options, kind):
+        # Coerced, these would lift (a truthy string turns the prover on)
+        # under a fingerprint of their own, missing the dedup of the
+        # well-typed request.
+        with pytest.raises(ServiceError, match=f"must be a JSON {kind}"):
+            normalize_options(options)
+        with pytest.raises(ServiceError, match=f"must be a JSON {kind}"):
+            options_from_request(options)
+        with pytest.raises(ServiceError, match=f"must be a JSON {kind}"):
+            request_fingerprint(DOUBLER, "doubler", options)
+
+    def test_well_typed_options_accepted(self):
+        options = {"inductive": False, "trials": 3, "seed": 0, "max_candidates": 50,
+                   "autotune_budget": 4, "verifier_environments": 1}
+        assert normalize_options(options) == dict(sorted(options.items()))
+        assert options_from_request(options).inductive is False
+
     def test_whitelist_matches_pipeline_fields(self):
         fields = set(PipelineOptions.__dataclass_fields__)
         assert OPTION_FIELDS <= fields

@@ -5,13 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
+from repro.ir import nodes as ir
 from repro.compile.predcomp import _shape
 from repro.predicates import format_postcondition
 from repro.predicates.language import Bound, OutEq, Postcondition, QuantifiedConstraint
 from repro.suites import all_cases, stencil_fortran
 from repro.suites.base import cross_2d, cross_3d
 from repro.symbolic import cell, const, sym
-from repro.symbolic.interpreter import choose_integer_environments, run_inductive_executions, symbolic_execute
+from repro.symbolic.interpreter import (
+    SymbolicExecutionError,
+    choose_integer_environments,
+    run_inductive_executions,
+    symbolic_execute,
+)
 from repro.synthesis import STRATEGIES, SynthesisFailure, build_problem, synthesize_kernel
 from repro.synthesis.invariants import build_invariants
 from repro.synthesis.skolem import partial_skolem_witnesses, skolem_radius
@@ -122,6 +128,20 @@ class TestSymbolicExecution:
         run = symbolic_execute(kernel, {"imin": 0, "imax": 2, "jmin": 0, "jmax": 1})
         assert len(run.snapshots_for("j")) == 2
         assert len(run.snapshots_for("i")) == 4
+
+    @pytest.mark.parametrize("upper", [3, -1], ids=["runs", "never-runs"])
+    def test_conditionals_are_refused_before_running(self, upper):
+        store = ir.ArrayStore("a", (ir.VarRef("i"),), ir.RealConst(1.0))
+        guarded = ir.If(ir.Compare(">", ir.VarRef("i"), ir.IntConst(0)), ir.Block([store]))
+        kernel = ir.Kernel(
+            name="guarded",
+            params=["n", "a"],
+            arrays=[ir.ArrayDecl("a", ((ir.IntConst(0), ir.VarRef("n")),))],
+            scalars=[ir.ScalarDecl("n"), ir.ScalarDecl("i")],
+            body=ir.Block([ir.Loop("i", ir.IntConst(0), ir.VarRef("n"), ir.Block([guarded]))]),
+        )
+        with pytest.raises(SymbolicExecutionError, match="kernels with conditionals are not executed"):
+            symbolic_execute(kernel, {"n": upper})
 
 
 class TestTemplateGeneration:
