@@ -12,11 +12,13 @@ loop for the reproduction:
   Halide C++, Fortran glue, and a manifest with verification levels;
 * :mod:`repro.application.interp` is the reference interpreter for the
   original program (procedures, calls, loops, conditionals);
+* :mod:`repro.application.compiled` runs the same statements as
+  generated Python, for the translated program's remainder;
 * :mod:`repro.application.execute` runs the *translated* program —
   substituted kernels realized through the schedule-aware loop-nest
-  backends, unliftable loops falling back to interpretation — and
-  differentially checks it against the reference, grid size by grid
-  size.
+  backends, everything else (unliftable loops included) on generated
+  code — and differentially checks it against the reference, grid size
+  by grid size.
 """
 
 from repro.application.execute import (

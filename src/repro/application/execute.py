@@ -6,14 +6,18 @@ reaches a substituted span, the site's stencils are realized through
 the schedule-aware loop-nest backends of :mod:`repro.halide.lower`
 (under the measured-autotuned schedule when the pipeline ran in
 ``measure`` mode) and scattered into the live Fortran arrays; loop
-counters are advanced to their Fortran exit values; everything else —
-including deliberately-unliftable loops — is interpreted exactly as in
-the original program.
+counters are advanced to their Fortran exit values.  Everything else —
+drivers, calls, deliberately-unliftable loops — runs as generated
+Python (:class:`~repro.application.compiled.CompiledInterpreter`) with
+the reference interpreter's semantics.
 
-``differential_check`` runs original and translated executions from
-identical initial states over several grid sizes and compares every
-array of the driver's scope *bitwise* (``tobytes`` equality, stricter
-than ``==`` which conflates ``0.0``/``-0.0`` and fails on NaN).
+``differential_check`` runs the original program on the tree-walking
+reference interpreter and the translated one on native or generated
+kernels plus the generated remainder, from identical initial states
+over several grid sizes, and compares every array of the driver's scope
+*bitwise* (``tobytes`` equality, stricter than ``==`` which conflates
+``0.0``/``-0.0`` and fails on NaN).  Its timings therefore compare the
+reference-interpreted original against the whole translated program.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.application.compiled import CompiledInterpreter
 from repro.application.interp import (
     FArray,
     FortranInterpreter,
@@ -199,7 +204,12 @@ def _scalar_bits_equal(left, right) -> bool:
 
 @dataclass
 class GridRun:
-    """Original-vs-translated execution of one grid size."""
+    """Original-vs-translated execution of one grid size.
+
+    ``original_seconds`` times the reference interpreter on the original
+    program; ``translated_seconds`` the substituted kernels plus the
+    generated remainder.
+    """
 
     grid: int
     identical: bool
@@ -278,17 +288,18 @@ def run_application(
     """Execute the bundle's driver once; return (driver scope, seconds).
 
     ``translated=False`` runs the pure reference interpreter;
-    ``translated=True`` installs the substitution hooks.  The array
-    buffers are mutated in place.  Hook construction — lowering and
-    compiling every substituted stencil — happens before the clock
-    starts, so the reported seconds measure execution, not compilation.
+    ``translated=True`` installs the substitution hooks and runs every
+    other statement as generated code.  The array buffers are mutated in
+    place.  Hook construction (lowering and compiling every substituted
+    stencil) and code generation for every statement of the program
+    happen before the clock starts, so the reported seconds measure
+    execution, not compilation.
     """
-    hooks = (
-        substitution_hooks(bundle, backend=backend, artifacts=artifacts, threads=threads)
-        if translated
-        else {}
-    )
-    interp = FortranInterpreter(bundle.program, site_hooks=hooks)
+    if translated:
+        hooks = substitution_hooks(bundle, backend=backend, artifacts=artifacts, threads=threads)
+        interp = CompiledInterpreter(bundle.program, site_hooks=hooks)
+    else:
+        interp = FortranInterpreter(bundle.program)
     started = time.perf_counter()
     scope = interp.run(bundle.driver, scalars, arrays)
     return scope, time.perf_counter() - started

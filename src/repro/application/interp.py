@@ -10,11 +10,22 @@ serve as the differential baseline and as the fallback for unliftable
 loops inside the translated program.
 
 Arrays are dense numpy buffers with a logical origin (Fortran arrays
-declare arbitrary lower bounds); scalars are Python ints/floats typed
-by declaration or Fortran implicit typing.  Scalar arithmetic is plain
-IEEE double arithmetic — the same operations, in the same order, that
-numpy's elementwise kernels perform — which is what makes bit-for-bit
-comparison against the vectorised translated execution meaningful.
+declare arbitrary lower bounds); scalars are Python ints, floats and
+bools typed by declaration or Fortran implicit typing (``logical``
+scalars hold ``bool`` and refuse any other value).  Scalar arithmetic is
+plain IEEE double arithmetic — the same operations, in the same order,
+that numpy's elementwise kernels perform — which is what makes
+bit-for-bit comparison against the vectorised translated execution
+meaningful.  Where Python's float arithmetic refuses an operand (real
+``/`` by zero, ``sqrt`` of a negative, a negative base to a real
+power), the real ``/``, ``**``, ``mod`` and math intrinsics return
+numpy float64's result (±inf or nan) instead; integer ``/`` and ``mod``
+by zero raise :class:`InterpreterError`.
+
+This tree-walker is the reference.  :mod:`repro.application.compiled`
+runs the same semantics as generated code, and the helpers below
+(``as_index``, ``as_logical``, ``divide``, ``power``,
+``counter_values``) are shared by both so that neither can drift.
 
 Argument passing follows Fortran: arrays are passed by reference (the
 callee sees the caller's buffer through its own declared bounds),
@@ -103,6 +114,10 @@ class Scope:
     arrays: Dict[str, FArray] = field(default_factory=dict)
 
     def scalar(self, name: str) -> Scalar:
+        if name in self.arrays:
+            raise InterpreterError(
+                f"array {name!r} used as a scalar in {self.procedure.name!r}"
+            )
         if name not in self.scalars:
             raise InterpreterError(
                 f"scalar {name!r} read before assignment in {self.procedure.name!r}"
@@ -123,8 +138,16 @@ class Scope:
         return declared
 
     def assign_scalar(self, name: str, value: Scalar) -> None:
-        if self.scalar_type(name) == "integer":
+        declared = self.scalar_type(name)
+        if declared == "integer":
             self.scalars[name] = _truncate_int(value)
+        elif declared == "logical":
+            if not isinstance(value, (bool, np.bool_)):
+                raise InterpreterError(
+                    f"logical {name!r} assigned the non-logical value {value!r} "
+                    f"in {self.procedure.name!r}"
+                )
+            self.scalars[name] = bool(value)
         else:
             self.scalars[name] = float(value)
 
@@ -197,18 +220,74 @@ def allocate_arrays(
     return buffers
 
 
-_MATH_INTRINSICS: Dict[str, Callable[..., float]] = {
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "atan": math.atan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
+# Each math intrinsic with the numpy ufunc that answers where it refuses.
+_MATH_INTRINSICS: Dict[str, Tuple[Callable[..., float], np.ufunc]] = {
+    "sqrt": (math.sqrt, np.sqrt),
+    "exp": (math.exp, np.exp),
+    "log": (math.log, np.log),
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "tan": (math.tan, np.tan),
+    "atan": (math.atan, np.arctan),
+    "sinh": (math.sinh, np.sinh),
+    "cosh": (math.cosh, np.cosh),
+    "tanh": (math.tanh, np.tanh),
 }
+
+# What Python's float arithmetic raises where IEEE returns inf or nan.
+_IEEE_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def _ieee(ufunc: np.ufunc, *operands) -> float:
+    """numpy float64's result for operands Python's float arithmetic refuses."""
+    with np.errstate(all="ignore"):
+        return float(ufunc(*[np.float64(x) for x in operands]))
+
+
+def as_index(value, expr: FExpr) -> int:
+    """An evaluated subscript or loop bound as an ``int``."""
+    if isinstance(value, float) and value != int(value):
+        raise InterpreterError(f"index expression {expr!r} is not an integer")
+    return int(value)
+
+
+def as_logical(value, expr: FExpr) -> bool:
+    """An evaluated condition; anything but a ``bool`` raises."""
+    if isinstance(value, bool):
+        return value
+    raise InterpreterError(f"condition {expr!r} did not evaluate to a logical")
+
+
+def divide(left, right, expr: BinExpr):
+    """Fortran ``/``: truncating on two ints, IEEE on reals."""
+    if isinstance(left, int) and isinstance(right, int):
+        if right == 0:
+            raise InterpreterError(f"integer division by zero in {expr!r}")
+        return trunc_div(left, right)
+    try:
+        return left / right
+    except _IEEE_ERRORS:
+        return _ieee(np.divide, left, right)
+
+
+def power(left, right):
+    """Fortran ``**``: exact on ints with a non-negative exponent, else IEEE."""
+    if isinstance(left, int) and isinstance(right, int) and right >= 0:
+        return left ** right
+    base, exponent = float(left), float(right)
+    try:
+        result = base ** exponent
+    except _IEEE_ERRORS:
+        result = None
+    # A negative base to a fractional power gives a complex number.
+    return result if isinstance(result, float) else _ieee(np.power, base, exponent)
+
+
+def counter_values(loop: DoLoop, lower: int, upper: int, step: int) -> range:
+    """One entry's counter values plus the exit value; a zero step raises."""
+    if step == 0:
+        raise InterpreterError(f"loop over {loop.var!r} has zero step")
+    return loop_counter_values(lower, upper, step)
 
 
 # A site hook intercepts execution of a procedure's top-level statement
@@ -371,19 +450,20 @@ class FortranInterpreter:
         lower = self._index(loop.lower, scope)
         upper = self._index(loop.upper, scope)
         step = 1 if loop.step is None else self._index(loop.step, scope)
-        if step == 0:
-            raise InterpreterError(f"loop over {loop.var!r} has zero step")
-        values = loop_counter_values(lower, upper, step)
+        values = counter_values(loop, lower, upper, step)
         for counter in values[: len(values) - 1]:
             scope.scalars[loop.var] = counter
-            self._iterations += 1
-            if self._iterations > MAX_TOTAL_ITERATIONS:
-                raise InterpreterError("iteration budget exhausted")
+            self._count_iteration()
             for inner in loop.body:
                 self._exec(inner, scope)
         # Fortran: after the loop the counter holds the first value that
         # failed the iteration test.
         scope.scalars[loop.var] = values[len(values) - 1]
+
+    def _count_iteration(self) -> None:
+        self._iterations += 1
+        if self._iterations > MAX_TOTAL_ITERATIONS:
+            raise InterpreterError("iteration budget exhausted")
 
     def _exec_call(self, stmt: CallStmt, scope: Scope) -> None:
         try:
@@ -426,39 +506,26 @@ class FortranInterpreter:
     # Expressions
     # ------------------------------------------------------------------
     def _index(self, expr: FExpr, scope: Scope) -> int:
-        value = self._eval(expr, scope)
-        if isinstance(value, float):
-            if value != int(value):
-                raise InterpreterError(f"index expression {expr!r} is not an integer")
-            return int(value)
-        return int(value)
+        return as_index(self._eval(expr, scope), expr)
 
     def _condition(self, expr: FExpr, scope: Scope) -> bool:
-        value = self._eval(expr, scope)
-        if isinstance(value, bool):
-            return value
-        raise InterpreterError(f"condition {expr!r} did not evaluate to a logical")
+        return as_logical(self._eval(expr, scope), expr)
 
     def _eval(self, expr: FExpr, scope: Scope):
         if isinstance(expr, Num):
             return float(expr.value) if expr.is_real else int(expr.value)
         if isinstance(expr, Ref):
             if not expr.subscripts:
-                if expr.name in scope.arrays:
-                    raise InterpreterError(
-                        f"array {expr.name!r} used as a scalar in {scope.procedure.name!r}"
-                    )
                 return scope.scalar(expr.name)
             if expr.name in scope.arrays:
                 indices = tuple(self._index(sub, scope) for sub in expr.subscripts)
                 return scope.array(expr.name).load(indices)
             return self._intrinsic(
-                expr.name, [self._eval(sub, scope) for sub in expr.subscripts]
+                expr, [self._eval(sub, scope) for sub in expr.subscripts]
             )
         if isinstance(expr, BinExpr):
             left = self._eval(expr.left, scope)
             right = self._eval(expr.right, scope)
-            both_int = isinstance(left, int) and isinstance(right, int)
             if expr.op == "+":
                 return left + right
             if expr.op == "-":
@@ -466,13 +533,9 @@ class FortranInterpreter:
             if expr.op == "*":
                 return left * right
             if expr.op == "/":
-                if both_int:
-                    return trunc_div(left, right)
-                return left / right
+                return divide(left, right, expr)
             if expr.op == "**":
-                if both_int and right >= 0:
-                    return left ** right
-                return float(left) ** float(right)
+                return power(left, right)
             raise InterpreterError(f"unknown operator {expr.op!r}")
         if isinstance(expr, UnaryExpr):
             operand = self._eval(expr.operand, scope)
@@ -503,7 +566,8 @@ class FortranInterpreter:
             raise InterpreterError(f"unknown logical operator {expr.op!r}")
         raise InterpreterError(f"cannot evaluate expression {expr!r}")
 
-    def _intrinsic(self, name: str, args: List[Scalar]):
+    def _intrinsic(self, call: Ref, args: List[Scalar]):
+        name = call.name
         if name == "abs":
             return abs(args[0])
         if name in {"min", "max"}:
@@ -513,8 +577,14 @@ class FortranInterpreter:
             return float(result)
         if name == "mod":
             if isinstance(args[0], int) and isinstance(args[1], int):
+                if args[1] == 0:
+                    raise InterpreterError(f"integer mod by zero in {call!r}")
                 return trunc_mod(args[0], args[1])
-            return math.fmod(float(args[0]), float(args[1]))
+            dividend, divisor = float(args[0]), float(args[1])
+            try:
+                return math.fmod(dividend, divisor)
+            except _IEEE_ERRORS:
+                return _ieee(np.fmod, dividend, divisor)
         if name == "sign":
             magnitude = abs(args[0])
             return magnitude if args[1] >= 0 else -magnitude
@@ -522,7 +592,14 @@ class FortranInterpreter:
             return float(args[0])
         if name == "int":
             return _truncate_int(args[0])
-        fn = _MATH_INTRINSICS.get(name)
-        if fn is not None:
-            return fn(*[float(a) for a in args])
+        pair = _MATH_INTRINSICS.get(name)
+        if pair is not None:
+            fn, ufunc = pair
+            operands = [float(a) for a in args]
+            try:
+                return fn(*operands)
+            except _IEEE_ERRORS:
+                if len(operands) != ufunc.nin:
+                    raise
+                return _ieee(ufunc, *operands)
         raise InterpreterError(f"no interpretation for intrinsic {name!r}")
