@@ -28,7 +28,11 @@ Fidelity rules (checked against the reference by
   give ``float``, and an array's rank is its declared rank;
 * a loop counter is read from a Python local only when its body can never
   write it (no assignment, call writeback or inner loop over the name); it
-  is still stored in the scope on every iteration.
+  is still stored in the scope on every iteration;
+* ``exit`` and ``cycle`` inside a generated loop are ``break`` and
+  ``continue`` (the exit value is stored in the loop's ``else``); outside
+  one they run on the reference, whose signal reaches the loop or the
+  procedure that handles it.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ _STMT_FNS: Dict[int, Tuple[FStmt, StmtFn]] = {}
 _CACHE_MAX = 1 << 12
 
 _KIND = {"integer": int, "real": float, "logical": bool}
+_LOOP_CONTROL = {"exit": "break", "cycle": "continue"}
 _COMPARE = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "==", "/=": "!="}
 
 # Globals of every generated function.
@@ -130,6 +135,7 @@ class _Emitter:
         self.local: Dict[str, str] = {}  # loop counter -> the local holding it
         self.count = 0
         self.loops = False
+        self.open_loops = 0  # generated loops around the statement being emitted
 
     def function(self, stmt: FStmt) -> StmtFn:
         self.statement(stmt, 1)
@@ -192,6 +198,8 @@ class _Emitter:
             self.emit("pass", depth)
         elif isinstance(stmt, ControlStmt) and stmt.kind == "return":
             self.emit("raise _Return()", depth)
+        elif isinstance(stmt, ControlStmt) and stmt.kind in _LOOP_CONTROL and self.open_loops:
+            self.emit(_LOOP_CONTROL[stmt.kind], depth)
         else:
             self.emit(f"_reference_exec(interp, {self.const(stmt)}, scope)", depth)
 
@@ -240,9 +248,13 @@ class _Emitter:
         outer = dict(self.local)
         if not _writes_scalar(loop.body, loop.var):
             self.local[loop.var] = counter
+        self.open_loops += 1
         self.block(loop.body, depth + 1)
+        self.open_loops -= 1
         self.local = outer
-        self.emit(f"S[{loop.var!r}] = {values}[{last}]", depth)
+        # After ``exit`` (a ``break``) the counter keeps its current value.
+        self.emit("else:", depth)
+        self.emit(f"S[{loop.var!r}] = {values}[{last}]", depth + 1)
 
     # -- expressions -------------------------------------------------------
     def index(self, expr: FExpr, depth: int) -> str:

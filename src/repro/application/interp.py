@@ -30,7 +30,10 @@ runs the same semantics as generated code, and the helpers below
 Argument passing follows Fortran: arrays are passed by reference (the
 callee sees the caller's buffer through its own declared bounds),
 scalars are copied in and — when the actual argument is a plain
-variable — copied back on return.
+variable — copied back on return.  ``exit`` leaves the innermost ``do``
+with its counter at its current value and ``cycle`` starts its next
+iteration; either one outside a loop, and any ``goto``, raises
+:class:`InterpreterError`.
 """
 
 from __future__ import annotations
@@ -70,6 +73,14 @@ class InterpreterError(Exception):
 
 class _Return(Exception):
     """Internal signal: a ``return`` statement unwound the procedure."""
+
+
+class _LoopControl(Exception):
+    """Internal signal: ``exit`` or ``cycle`` left the innermost loop's iteration."""
+
+    def __init__(self, kind: str):
+        super().__init__(kind)
+        self.kind = kind
 
 
 # Total per-run iteration budget across all loops (hang protection).
@@ -405,6 +416,10 @@ class FortranInterpreter:
                 self._exec(body[index], scope)
             except _Return:
                 return
+            except _LoopControl as signal:
+                raise InterpreterError(
+                    f"{signal.kind!r} outside a do loop in {proc.name!r}"
+                ) from None
             index += 1
 
     # ------------------------------------------------------------------
@@ -441,6 +456,8 @@ class FortranInterpreter:
                 return
             if stmt.kind == "return":
                 raise _Return()
+            if stmt.kind in ("exit", "cycle"):
+                raise _LoopControl(stmt.kind)
             raise InterpreterError(
                 f"unsupported control statement {stmt.kind!r} in {scope.procedure.name!r}"
             )
@@ -454,8 +471,12 @@ class FortranInterpreter:
         for counter in values[: len(values) - 1]:
             scope.scalars[loop.var] = counter
             self._count_iteration()
-            for inner in loop.body:
-                self._exec(inner, scope)
+            try:
+                for inner in loop.body:
+                    self._exec(inner, scope)
+            except _LoopControl as signal:
+                if signal.kind == "exit":
+                    return  # the counter keeps its current value
         # Fortran: after the loop the counter holds the first value that
         # failed the iteration test.
         scope.scalars[loop.var] = values[len(values) - 1]

@@ -18,10 +18,17 @@ crash-reclaimable :class:`~repro.cache.locks.FileLock`; a missing
 trailing newline (a writer killed mid-append) is healed before the next
 append so one torn record never corrupts its successor.  Loads are
 line-wise and tolerant: an undecodable line — the torn tail of a killed
-append, or mid-file damage — is skipped with a
+append, mid-file damage, a byte that is not UTF-8 — is skipped with a
 :class:`~repro.cache.integrity.CacheIntegrityWarning` while every other
 record on the shard still loads, so a kill-mid-append leaves the store
-*loadable*, not quarantined.
+*loadable*, not quarantined.  :func:`decode_json_lines` is that reader;
+the service run log uses it too.
+
+Reads are memoised per :class:`ShardedStore` instance: a shard whose
+bytes equal the bytes that instance last decoded is not decoded again,
+so a long-lived store (the lift server keeps one) pays a file read and
+a byte comparison per unchanged shard, and only the shards another
+writer or its own append changed are decoded.
 
 Compaction: appends never remove anything, so a shard accumulates dead
 records (same-fingerprint rewrites, stale code versions, damaged
@@ -56,10 +63,11 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.cache.fingerprint import CODE_VERSION
 from repro.cache.integrity import CacheIntegrityWarning, StaleVersionWarning
@@ -74,6 +82,9 @@ _SAFE_PREFIX = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 
 # Prefix characters per shard log: 16 shards for hex fingerprints.
 _SHARD_WIDTH = 1
+
+# One shard log decoded: (live entries, records, stale records, damaged lines).
+ShardDecode = Tuple[Dict[str, Dict[str, Any]], int, int, int]
 
 
 def heal_torn_tail(path: Path) -> None:
@@ -92,6 +103,25 @@ def heal_torn_tail(path: Path) -> None:
     if torn:
         with open(path, "ab") as handle:
             handle.write(b"\n")
+
+
+def decode_json_lines(data: bytes) -> Tuple[List[Any], int]:
+    """``(values, damaged)`` of a JSON-lines log: one value per decodable line.
+
+    Blank lines are skipped.  A line that is not UTF-8 or not JSON — a
+    torn tail, mid-file damage — counts as damaged and the rest still
+    decode, so one bad line never makes the whole log unreadable.
+    """
+    values: List[Any] = []
+    damaged = 0
+    for line in data.split(b"\n"):
+        if not line.strip():
+            continue
+        try:
+            values.append(json.loads(line.decode("utf-8")))
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+            damaged += 1
+    return values, damaged
 
 
 def shard_prefix(key: str, width: int = 2) -> str:
@@ -156,6 +186,10 @@ class ShardedStore:
         self.compact_min_records = max(1, compact_min_records)
         self.compact_factor = max(1, compact_factor)
         self.compactions = 0
+        # Threads share one store (the lift server's workers): guards the counter.
+        self._counter_lock = threading.Lock()
+        # shard path -> (the bytes last decoded, their decode); see _decode_shard.
+        self._decoded: Dict[Path, Tuple[bytes, ShardDecode]] = {}
 
     # ------------------------------------------------------------------
     # Shard naming
@@ -177,43 +211,60 @@ class ShardedStore:
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def _decode_shard(self, path: Path) -> Tuple[Dict[str, Dict[str, Any]], int, int, int]:
+    def _decode_shard(self, path: Path) -> ShardDecode:
         """``(entries, records, stale, damaged)`` for one shard log.
 
         Later records win fingerprint collisions (append order is write
         order).  Undecodable lines are counted as damaged and skipped —
         a torn tail never takes the rest of the shard down with it.
+
+        A shard whose bytes equal the bytes this instance last decoded
+        returns that decode again.  The contents are compared, not
+        ``os.stat`` signatures: a same-size rewrite within one mtime
+        tick must not serve stale entries.  Threads sharing the store
+        may race to remember a decode; whichever lands, the next read
+        compares the bytes again, so a lost race costs one more decode,
+        never a stale entry.
         """
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return {}, 0, 0, 0
+        memo = self._decoded.get(path)
+        if memo is not None and memo[0] == data:
+            return memo[1]
+        values, damaged = decode_json_lines(data)
         entries: Dict[str, Dict[str, Any]] = {}
-        records = stale = damaged = 0
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                fingerprint = record["fp"]
-                entry = record["entry"]
-                if not isinstance(fingerprint, str) or not isinstance(entry, dict):
-                    raise ValueError("malformed shard record")
-            except (ValueError, KeyError, TypeError):
+        records = stale = 0
+        for record in values:
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("fp"), str)
+                and isinstance(record.get("entry"), dict)
+            ):
                 damaged += 1
                 continue
             records += 1
             if record.get("version") != self.code_version:
                 stale += 1
                 continue
-            entries[fingerprint] = entry
-        return entries, records, stale, damaged
+            entries[record["fp"]] = record["entry"]
+        result = (entries, records, stale, damaged)
+        self._decoded[path] = (data, result)
+        return result
 
     def load_all(self, warn: bool = True) -> Dict[str, Dict[str, Any]]:
-        """Every live entry across every shard.
+        """Every live entry across every shard, in a fresh dict per call.
 
         With ``warn`` (the default) stale-version and damaged-line
-        counts are reported once per load; saves re-read silently.
+        counts are reported on every load, decoded or memoised alike;
+        saves re-read silently.
+
+        Only shards whose bytes changed since this instance last read
+        them are decoded, so the entry dicts are shared between loads
+        and must be treated as read-only.  Nothing in this package
+        mutates a loaded entry: the cache reads them and
+        :mod:`repro.cache.serialize` builds fresh payloads.
         """
         merged: Dict[str, Dict[str, Any]] = {}
         stale = damaged = 0
@@ -336,7 +387,8 @@ class ShardedStore:
                 for fingerprint in sorted(entries):
                     handle.write(self._encode_record(fingerprint, entries[fingerprint]) + "\n")
             os.replace(tmp_name, path)
-            self.compactions += 1
+            with self._counter_lock:
+                self.compactions += 1
             faultinject.corrupt_file("shard-file", path.name, path)
         except OSError:
             try:

@@ -11,7 +11,9 @@ replay them without re-synthesizing.
 per-fingerprint-prefix append logs with periodic compaction and
 per-shard locks, safe for many concurrent writers.  A save appends only
 the entries recorded since the last save.  The on-disk format lives in
-:mod:`repro.cache.shards`.
+:mod:`repro.cache.shards`.  Handles built on one ``ShardedStore`` share
+its read memo, so a shard is decoded once per change, not once per
+handle.
 
 Robustness rules:
 
@@ -46,7 +48,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
 from repro.ir import nodes as ir
@@ -84,16 +85,20 @@ class SynthesisCache:
     ----------
     path:
         Directory of shard logs backing the cache, created on the first
-        save; ``None`` keeps the cache purely in-memory (useful for
-        tests and for pool workers that ship entries back to the parent
-        instead of writing).  A regular file at ``path`` raises
-        ``ValueError``.
+        save, or a :class:`~repro.cache.shards.ShardedStore` to read and
+        append through (its ``code_version`` and ``lock_timeout`` then
+        apply, and every handle on it shares its read memo); ``None``
+        keeps the cache purely in-memory (useful for tests and for pool
+        workers that ship entries back to the parent instead of
+        writing).  A regular file at ``path`` raises ``ValueError``.
     autosave:
         Persist after every recorded entry — durable by default (a
         crash loses nothing), but each save appends the new entry and
-        then re-reads the whole store, so a long sweep pays O(n²) in
-        store size.  Batch users (and the batch scheduler,
-        automatically) disable this and call :meth:`save` once.
+        then re-reads the store: every shard's bytes are read and
+        compared, and the shard the entry went to is decoded again, so
+        a long sweep still pays a cost that grows with the store per
+        entry.  Batch users (and the batch scheduler, automatically)
+        disable this and call :meth:`save` once.
     cache_failures:
         Also record definitive synthesis failures so warm runs skip the
         (typically slowest) exhausted-space kernels.  Set to ``False``
@@ -104,14 +109,17 @@ class SynthesisCache:
 
     def __init__(
         self,
-        path: "os.PathLike[str] | str | None" = None,
+        path: "os.PathLike[str] | str | ShardedStore | None" = None,
         code_version: str = CODE_VERSION,
         autosave: bool = True,
         cache_failures: bool = True,
         lock_timeout: float = 10.0,
     ):
-        self.path = Path(path) if path is not None else None
-        self.code_version = code_version
+        if path is not None and not isinstance(path, ShardedStore):
+            path = ShardedStore(path, code_version=code_version, lock_timeout=lock_timeout)
+        self._shards: Optional[ShardedStore] = path
+        self.path = path.root if path is not None else None
+        self.code_version = path.code_version if path is not None else code_version
         self.autosave = autosave
         self.cache_failures = cache_failures
         self.hits = 0
@@ -121,11 +129,7 @@ class SynthesisCache:
         # Entries recorded or merged since the last successful save:
         # what the next save appends.
         self._dirty: Dict[str, Dict[str, Any]] = {}
-        self._shards: Optional[ShardedStore] = None
-        if self.path is not None:
-            self._shards = ShardedStore(
-                self.path, code_version=code_version, lock_timeout=lock_timeout
-            )
+        if self._shards is not None:
             self._load()
 
     # ------------------------------------------------------------------
@@ -151,12 +155,21 @@ class SynthesisCache:
 
         The store is then re-read and the entries other writers
         appended since our load are folded into memory, our own
-        entries winning any fingerprint collision.
+        entries winning any fingerprint collision.  Where the store's
+        decoded copy of an entry just appended equals ours, the handle
+        keeps that copy instead, so it and the store's read memo hold
+        one.
         """
         if self._shards is None:
             return
-        self._dirty = self._shards.append(self._dirty)
+        appended = self._dirty
+        self._dirty = self._shards.append(appended)
         disk = self._shards.load_all(warn=False)
+        for fingerprint, entry in appended.items():
+            if disk.get(fingerprint) == entry:
+                self._entries[fingerprint] = disk[fingerprint]
+                if fingerprint in self._new:
+                    self._new[fingerprint] = disk[fingerprint]
         if disk:
             merged = dict(disk)
             merged.update(self._entries)

@@ -16,6 +16,9 @@ under a crash-reclaimable :class:`~repro.cache.locks.FileLock`, a torn
 tail left by a killed writer is closed with a newline before the next
 append, and the reader is line-tolerant, so a torn tail costs one
 record, not the log, and many service processes can share one log file.
+A line that is not UTF-8 or not JSON is skipped the same way
+(:func:`repro.cache.shards.decode_json_lines`, the synthesis store's
+reader).
 
 Fault hook: ``runlog-append`` fires before each append (see
 :mod:`repro.testing.faultinject`).
@@ -31,7 +34,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.cache.integrity import CacheIntegrityWarning
 from repro.cache.locks import FileLock, LockTimeout
-from repro.cache.shards import heal_torn_tail
+from repro.cache.shards import decode_json_lines, heal_torn_tail
 from repro.testing import faultinject
 
 RUNLOG_FORMAT = "lift-runlog-1"
@@ -81,20 +84,11 @@ class RunLog:
     def read_all(self) -> List[Dict[str, Any]]:
         """Every decodable record, in append order (torn lines skipped)."""
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError:
             return []
-        records: List[Dict[str, Any]] = []
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        values, _damaged = decode_json_lines(data)
+        return [record for record in values if isinstance(record, dict)]
 
     def stats(self) -> Dict[str, Any]:
         records = self.read_all()

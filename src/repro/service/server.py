@@ -19,9 +19,14 @@ Architecture — one event loop, many worker threads, one sharded store:
   ``ThreadPoolExecutor`` worker so the loop stays responsive; with
   ``pool_size > 1`` the worker fans kernels over the existing
   :class:`~repro.pipeline.scheduler.BatchScheduler` process pool.
-  Every worker opens its own :class:`~repro.cache.SynthesisCache`
-  handle onto the shared sharded store directory — concurrent jobs
-  contend per shard, not per store.
+* **One store**: the server builds one
+  :class:`~repro.cache.shards.ShardedStore` for its lifetime, and every
+  lift opens its own :class:`~repro.cache.SynthesisCache` handle on it
+  (hit and miss counts, and the entries a save appends, stay per
+  request).  The store decodes a shard log only when its bytes changed
+  since the last read, so a warm request reads and compares the shard
+  files instead of decoding them, and appends by other processes are
+  still seen.  Concurrent jobs contend per shard, not per store.
 * **Bookkeeping**: every served request appends one
   :mod:`repro.service.runlog` record at its terminal event.
 
@@ -91,7 +96,8 @@ class LiftService:
     store_dir:
         Service state root: the sharded synthesis store lives at
         ``<store_dir>/synthesis`` and the run log at
-        ``<store_dir>/runlog.jsonl`` (both overridable).
+        ``<store_dir>/runlog.jsonl`` (both overridable).  A regular
+        file at the synthesis path raises ``ValueError`` here.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
@@ -126,6 +132,7 @@ class LiftService:
         self.synthesis_path = Path(
             synthesis_path if synthesis_path is not None else self.store_dir / "synthesis"
         )
+        self.store = ShardedStore(self.synthesis_path)
         self.runlog = RunLog(
             runlog_path if runlog_path is not None else self.store_dir / "runlog.jsonl"
         )
@@ -228,9 +235,9 @@ class LiftService:
 
         try:
             pipeline_options = options_from_request(options, self.base_options)
-            # A private cache handle per lift: loads from and appends to
-            # the shared sharded store, contending per shard only.
-            cache = SynthesisCache(self.synthesis_path, autosave=False)
+            # A private cache handle per lift on the server's one store:
+            # its counts and dirty entries are this request's alone.
+            cache = SynthesisCache(self.store, autosave=False)
             translate_started = time.perf_counter()
 
             def progress(phase: str, detail: Dict[str, Any]) -> None:
@@ -253,7 +260,6 @@ class LiftService:
                 name=name or driver,
                 progress=progress,
             )
-            cache.save()
             result = {
                 "event": "done",
                 "fingerprint": job.fingerprint,
@@ -401,7 +407,7 @@ class LiftService:
     def stats(self) -> Dict[str, Any]:
         store_stats: Dict[str, Any] = {}
         if self.synthesis_path.exists():
-            store_stats = ShardedStore(self.synthesis_path).stats()
+            store_stats = self.store.stats()
         return {
             "event": "stats",
             "protocol": PROTOCOL_VERSION,

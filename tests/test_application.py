@@ -411,6 +411,77 @@ class TestGeneratedExecutor:
         assert (scope.scalars["i"], scope.scalars["j"], scope.scalars["m"]) == (2, 2, 4)
         assert scope.arrays["a"].data.sum() == 5.0
 
+    def test_exit_keeps_the_counter_and_cycle_skips_the_rest(self):
+        source = (
+            "subroutine s(n, m, a)\n"
+            "real (kind=8), dimension(1:n) :: a\n"
+            "integer :: n, m\n"
+            "do i = 1, n\n"
+            "  if (a(i) < 0.0d0) exit\n"
+            "  if (a(i) > 2.0d0) cycle\n"
+            "  a(i) = a(i) * 2.0d0\n"
+            "  m = m + 1\n"
+            "enddo\n"
+            "end subroutine s\n"
+        )
+        scope = run_both(
+            parse_source(source), "s", {"n": 5, "m": 0},
+            {"a": np.array([1.0, 3.0, 0.5, -1.0, 1.0])},
+        )
+        assert (scope.scalars["i"], scope.scalars["m"]) == (4, 2)
+        assert list(scope.arrays["a"].data) == [2.0, 3.0, 1.0, -1.0, 1.0]
+
+    def test_exit_and_cycle_leave_only_the_innermost_loop(self):
+        source = (
+            "subroutine s(n, a)\n"
+            "real (kind=8), dimension(1:n, 1:n) :: a\n"
+            "integer :: n\n"
+            "do j = 1, n\n"
+            "  do i = 1, n\n"
+            "    if (i > j) then\n"
+            "      exit\n"
+            "    endif\n"
+            "    if (i == 1) cycle\n"
+            "    a(i, j) = 1.0d0\n"
+            "  enddo\n"
+            "  a(1, j) = i * 1.0d0\n"
+            "enddo\n"
+            "end subroutine s\n"
+        )
+        scope = run_both(parse_source(source), "s", {"n": 3}, {"a": np.zeros((3, 3))})
+        assert (scope.scalars["i"], scope.scalars["j"]) == (4, 4)
+        # Column j: rows 2..j set, row 1 holds the inner counter after the
+        # exit (j + 1), or its exit value n + 1 when the loop ran out.
+        assert scope.arrays["a"].data.tolist() == [[2.0, 3.0, 4.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
+
+    def test_exit_past_pythons_nesting_limit(self):
+        depth = 21
+        lines = [f"do i{d} = 1, 1" for d in range(depth - 1)] + [
+            "do i20 = 1, 3",
+            "a(1, 1) = a(1, 1) + 1.0d0",
+            "if (i20 == 2) exit",
+        ]
+        program, scalars, arrays = _small("\n".join(lines + ["enddo"] * depth))
+        scope = run_both(program, "s", scalars, arrays)
+        assert scope.arrays["a"].data[0, 0] == 2.0
+        assert (scope.scalars["i20"], scope.scalars["i19"]) == (2, 2)
+
+    def test_exit_outside_a_loop_in_a_callee_is_not_the_callers(self):
+        source = (
+            "subroutine quit(k)\n"
+            "integer :: k\n"
+            "exit\n"
+            "end subroutine quit\n"
+            "subroutine s(n)\n"
+            "integer :: n\n"
+            "do i = 1, n\n"
+            "  call quit(i)\n"
+            "enddo\n"
+            "end subroutine s\n"
+        )
+        with pytest.raises(InterpreterError, match="'exit' outside a do loop in 'quit'"):
+            run_both(parse_source(source), "s", {"n": 2}, {})
+
     def test_zero_trip_negative_and_strided_loops(self):
         source = (
             "subroutine s(n, a)\n"
@@ -506,6 +577,9 @@ class TestGeneratedExecutor:
             ("x = a(n + 5, q)", "scalar 'q' read before assignment"),
             ("a(x, n + 5) = 1.0d0", "index expression x is not an integer"),
             ("a(n + 5, 1) = 1.0d0 * (n / 0)", r"integer division by zero in \(n / 0\)"),
+            ("x = 1.0d0\nexit", "'exit' outside a do loop in 's'"),
+            ("if (n > 0) then\n  cycle\nendif", "'cycle' outside a do loop in 's'"),
+            ("do i = 1, n\n  goto\nenddo", "unsupported control statement 'goto' in 's'"),
         ],
     )
     def test_each_error_matches_the_reference(self, body, message):
@@ -599,7 +673,7 @@ _HYP_SIMPLE = st.one_of(
     ),
     st.builds(lambda name, v: Assignment(Ref(name), v), st.sampled_from(["x", "y", "flag"]), _HYP_EXPR),
     st.builds(lambda name: CallStmt("bump", (Ref(name),)), st.sampled_from(["i", "j", "k", "m", "x"])),
-    st.sampled_from([ControlStmt("continue"), ControlStmt("return"), ControlStmt("exit")]),
+    st.sampled_from([ControlStmt(kind) for kind in ("continue", "return", "exit", "cycle")]),
 )
 
 
@@ -818,6 +892,33 @@ class TestDifferentialExecution:
         assert report.all_identical
         with pytest.raises(ValueError, match="grid_scalars"):
             differential_check(bundle, grids=(5,))
+
+    def test_early_exit_fallback_loop_runs_identically(self):
+        source = (
+            "subroutine smooth(n, a, b)\n"
+            "real (kind=8), dimension(1:n) :: a\n"
+            "real (kind=8), dimension(1:n) :: b\n"
+            "integer :: n\n"
+            "do i = 2, n-1\n"
+            "  a(i) = b(i-1) + b(i+1)\n"
+            "enddo\n"
+            "n = n + 0\n"
+            "do k = 1, n\n"
+            "  if (a(k) < 0.0d0) exit\n"
+            "  b(k) = a(k) * 0.5d0\n"
+            "enddo\n"
+            "end subroutine smooth\n"
+        )
+        bundle = translate_application(
+            source, PipelineOptions(**FAST_OPTIONS), driver="smooth"
+        )
+        assert len(bundle.translated) == 1
+        reasons = [fallback.reason for fallback in bundle.fallbacks]
+        assert any("unstructured control flow" in reason for reason in reasons), reasons
+        report = differential_check(
+            bundle, grids=(5, 9, 14), grid_scalars=lambda n: {"n": n}
+        )
+        assert report.all_identical
 
     def test_live_scalar_temporary_demotes_site_to_fallback(self):
         # The rotation temporary's post-loop value is read after the

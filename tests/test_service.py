@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from repro.application.translate import translate_application
+from repro.cache import SynthesisCache
+from repro.cache.shards import ShardedStore
 from repro.pipeline.stng import PipelineOptions
 from repro.service import LiftService, ServiceClient, ServiceError
 from repro.service.protocol import (
@@ -46,6 +50,11 @@ DOUBLER = (
     "end subroutine doubler\n"
 )
 
+# A second kernel, for a writer outside the server.
+TRIPLER = DOUBLER.replace("doubler", "tripler").replace(
+    "b(i-1) + b(i+1)", "b(i-1) + b(i) + b(i+1)"
+)
+
 FAST = PipelineOptions(verifier_environments=1, inductive=False, autotune_budget=20)
 
 
@@ -60,6 +69,11 @@ def counted_synthesis(monkeypatch):
 
     monkeypatch.setattr(cegis, "synthesize_kernel_uncached", counting)
     return calls
+
+
+def one_lift(port, source=DOUBLER, driver="doubler"):
+    with ServiceClient("127.0.0.1", port) as client:
+        return client.lift(source, driver)
 
 
 def run_service(tmp_path, body, **service_kwargs):
@@ -234,10 +248,6 @@ class TestService:
         )
 
     def test_warm_duplicate_does_zero_synthesis(self, tmp_path, counted_synthesis):
-        def one_lift(port):
-            with ServiceClient("127.0.0.1", port) as client:
-                return client.lift(DOUBLER, "doubler")
-
         async def body(service, port):
             cold = await asyncio.to_thread(one_lift, port)
             warm = await asyncio.to_thread(one_lift, port)
@@ -252,6 +262,45 @@ class TestService:
             r for r in service.runlog.read_all() if r["cache_misses"] == 0
         ]
         assert len(warm_records) == 1
+
+    def test_second_warm_request_decodes_no_shard(self, tmp_path, shard_decodes):
+        async def body(service, port):
+            await asyncio.to_thread(one_lift, port)  # cold: synthesizes, appends
+            await asyncio.to_thread(one_lift, port)
+            before = shard_decodes["count"]
+            warm = await asyncio.to_thread(one_lift, port)
+            return warm, shard_decodes["count"] - before
+
+        warm, decodes = run_service(tmp_path, body)
+        assert warm["cache"] == {"hits": 1, "misses": 0}
+        assert decodes == 0
+
+    def test_kernel_an_outside_writer_appended_is_served_warm(
+        self, tmp_path, counted_synthesis
+    ):
+        async def body(service, port):
+            await asyncio.to_thread(one_lift, port)  # the server's store decodes
+            # Another handle on the same directory, as another process would.
+            outside = SynthesisCache(service.synthesis_path, autosave=False)
+            outside_bundle = await asyncio.to_thread(
+                translate_application, TRIPLER, FAST, outside, driver="tripler"
+            )
+            served = await asyncio.to_thread(one_lift, port, TRIPLER, "tripler")
+            return outside_bundle, served
+
+        outside_bundle, served = run_service(tmp_path, body)
+        assert outside_bundle.cache_misses == 1
+        assert served["event"] == "done"
+        assert served["cache"] == {"hits": 1, "misses": 0}
+        assert counted_synthesis["count"] == 2  # doubler in the server, tripler outside
+
+    def test_regular_file_at_the_store_path_fails_at_construction(self, tmp_path):
+        occupied = tmp_path / "service" / "synthesis"
+        occupied.parent.mkdir()
+        occupied.write_text("not a store")
+        with pytest.raises(ValueError, match=re.escape(str(occupied))):
+            LiftService(tmp_path / "service", options=FAST)
+        assert occupied.read_text() == "not a store"
 
     def test_distinct_requests_do_not_dedup(self, tmp_path, counted_synthesis):
         def one_lift(port, seed):
@@ -328,6 +377,28 @@ class TestService:
         assert stats["served"] == 1
         assert stats["store"]["entries"] >= 1
 
+    def test_stats_counts_the_compaction_a_request_triggered(self, tmp_path):
+        # Every shard holds 64 rewrites of one fingerprint: dead weight the
+        # next append to any shard compacts away.
+        seeding = ShardedStore(tmp_path / "service" / "synthesis", compact_min_records=1 << 20)
+        for prefix in "0123456789abcdef":
+            for n in range(64):
+                seeding.append({prefix * 64: {"status": "failure", "payload": {"message": str(n)}}})
+
+        def body_sync(port):
+            with ServiceClient("127.0.0.1", port) as client:
+                lifted = client.lift(DOUBLER, "doubler")
+                return lifted, client.stats()
+
+        async def body(service, port):
+            return await asyncio.to_thread(body_sync, port)
+
+        lifted, stats = run_service(tmp_path, body)
+        assert lifted["cache"]["misses"] == 1
+        assert stats["store"]["compactions"] == 1
+        assert stats["store"]["entries"] == 17
+        assert stats["store"]["records"] == 15 * 64 + 2
+
 
 class TestServiceFaults:
     def test_dedup_handoff_fault_contained_as_error(self, tmp_path, monkeypatch):
@@ -392,6 +463,15 @@ class TestRunLog:
         with open(log.path, "a", encoding="utf-8") as handle:
             handle.write('{"torn": ')
         assert len(log.read_all()) == 1
+
+    def test_non_utf8_line_skipped(self, tmp_path):
+        log = RunLog(tmp_path / "runlog.jsonl")
+        log.append({"fingerprint": "f" * 64, "status": "done", "cache_misses": 0})
+        with open(log.path, "ab") as handle:
+            handle.write(b'{"fp": "\xff\xfe garbage\n')
+        log.append({"fingerprint": "g" * 64, "status": "error"})
+        assert [r["fingerprint"] for r in log.read_all()] == ["f" * 64, "g" * 64]
+        assert log.stats()["records"] == 2 and log.stats()["warm"] == 1
 
     def test_append_after_torn_tail_keeps_both_complete_records(self, tmp_path):
         # A writer killed mid-append leaves a partial line with no

@@ -8,10 +8,15 @@ The claims under test, in roughly escalating order of paranoia:
   a regular file at the store path is refused untouched;
 * compaction drops dead weight (rewrites, stale versions, damage)
   without losing a live entry;
+* a store decodes a shard once per change of its bytes, across handles
+  and saves, yet sees every rewrite, append and compaction made by
+  anyone else, and warns about stale or damaged lines on every open;
+* a line that is not UTF-8 is one damaged line, not an unloadable store;
 * a writer SIGKILLed mid-append (faultinject) leaves the store
   *loadable* and its shard lock reclaimable;
 * many concurrent writer processes lose zero entries while compaction
-  runs under contention;
+  runs under contention, and threads sharing one store read their own
+  writes and lose no compaction count;
 * warm lift reports served from the store are byte-identical
   (``report_signature``) to the cold ones that filled it.
 """
@@ -24,6 +29,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -51,6 +57,17 @@ def _entry(message: str) -> dict:
 def _fp(n: int) -> str:
     """Deterministic fingerprints spread over many shards."""
     return hashlib.sha256(str(n).encode("utf-8")).hexdigest()
+
+
+def _subprocess_env() -> dict:
+    """This environment with the repository's ``src`` first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[1] / "src")
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    return env
 
 
 class TestShardPrefix:
@@ -95,6 +112,16 @@ class TestShardedStore:
             entries = store.load_all()
         assert entries[_fp(1)] == _entry("keep")
         assert entries[_fp(2)] == _entry("also")
+
+    def test_non_utf8_line_is_one_damaged_line(self, tmp_path):
+        store = ShardedStore(tmp_path / "store")
+        store.append({_fp(1): _entry("keep"), _fp(2): _entry("also")})
+        with open(store.shard_file(_fp(1)), "ab") as handle:
+            handle.write(b'{"fp": "\xff\xfe garbage\n')
+        with pytest.warns(CacheIntegrityWarning, match="had 1 undecodable"):
+            cache = SynthesisCache(tmp_path / "store", autosave=False)
+        assert cache.get(_fp(1)).payload == {"message": "keep"}
+        assert cache.get(_fp(2)).payload == {"message": "also"}
 
     def test_stale_version_records_warn_and_drop(self, tmp_path):
         old = ShardedStore(tmp_path / "store", code_version=CODE_VERSION + "-old")
@@ -187,6 +214,93 @@ class TestSuffixRule:
         assert len(reread) == 2
 
 
+class TestReadMemo:
+    """One decode per change of a shard's bytes, whoever changed them."""
+
+    def test_unchanged_shards_decode_once_across_handles_and_saves(
+        self, tmp_path, shard_decodes
+    ):
+        ShardedStore(tmp_path / "store").append({_fp(n): _entry(str(n)) for n in range(40)})
+        store = ShardedStore(tmp_path / "store", code_version=CODE_VERSION)
+        files = len(store.shard_files())
+        first = SynthesisCache(store, autosave=False)
+        second = SynthesisCache(store, autosave=False)
+        assert first.path == store.root and len(first) == len(second) == 40
+        assert shard_decodes["count"] == files
+        second.save()  # nothing dirty: nothing appended, nothing decoded
+        assert shard_decodes["count"] == files
+        first.record_failure(_fp(1000), "new")
+        first.save()  # re-decodes the one shard it appended to
+        assert shard_decodes["count"] == files + 1
+        assert SynthesisCache(store).get(_fp(1000)) is not None
+        assert shard_decodes["count"] == files + 1
+
+    def test_handle_takes_the_stores_code_version(self, tmp_path):
+        store = ShardedStore(tmp_path / "store", code_version=CODE_VERSION + "-next")
+        assert SynthesisCache(store, code_version=CODE_VERSION).code_version == (
+            CODE_VERSION + "-next"
+        )
+
+    def test_same_length_rewrite_with_restored_mtime_is_seen(self, tmp_path):
+        store = ShardedStore(tmp_path / "store")
+        store.append({_fp(1): _entry("aaaa")})
+        assert store.load_all()[_fp(1)] == _entry("aaaa")
+        shard = store.shard_file(_fp(1))
+        before = shard.stat()
+        shard.write_bytes(shard.read_bytes().replace(b"aaaa", b"bbbb"))
+        os.utime(shard, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = shard.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert store.load_all()[_fp(1)] == _entry("bbbb")
+
+    def test_another_processs_append_and_compaction_are_seen(self, tmp_path):
+        root = tmp_path / "store"
+        store = ShardedStore(root)
+        store.append({_fp(1): _entry("one")})
+        assert store.load_all() == {_fp(1): _entry("one")}
+
+        def other_process(body: str) -> None:
+            script = (
+                "import sys\n"
+                "from repro.cache import ShardedStore\n"
+                "store = ShardedStore(sys.argv[1])\n"
+                "entry = lambda m: {'status': 'failure', 'payload': {'message': m}, "
+                "'kernel': 'k', 'created': 1.0}\n" + body
+            )
+            subprocess.run(
+                [sys.executable, "-c", script, str(root)],
+                env=_subprocess_env(), check=True, timeout=60,
+            )
+
+        other_process(f"store.append({{{_fp(2)!r}: entry('two')}})\n")
+        assert store.load_all() == {_fp(1): _entry("one"), _fp(2): _entry("two")}
+        other_process(
+            f"store.append({{{_fp(1)!r}: entry('one again')}})\n"
+            "assert store.compact()['records_after'] == 2\n"
+        )
+        assert store.load_all() == {_fp(1): _entry("one again"), _fp(2): _entry("two")}
+        assert store.record_count() == 2
+
+    def test_stale_and_damaged_lines_warn_on_every_open(self, tmp_path, shard_decodes):
+        ShardedStore(tmp_path / "store", code_version=CODE_VERSION + "-old").append(
+            {_fp(1): _entry("stale")}
+        )
+        store = ShardedStore(tmp_path / "store")
+        store.append({_fp(2): _entry("live")})
+        with open(store.shard_file(_fp(2)), "ab") as handle:
+            handle.write(b'{"fp": "torn...\n')
+        for _ in range(3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cache = SynthesisCache(store, autosave=False)
+            assert len(cache) == 1
+            assert sorted((w.category.__name__, str(w.message)[:40]) for w in caught) == [
+                ("CacheIntegrityWarning", "sharded store store had 1 undecodable lo"),
+                ("StaleVersionWarning", "sharded store store holds 1 entries from"),
+            ]
+        assert shard_decodes["count"] == len(store.shard_files())
+
+
 WRITER_SCRIPT = r"""
 import hashlib, sys
 from repro.cache import ShardedStore
@@ -209,12 +323,7 @@ class TestConcurrentWriters:
     def test_multiprocess_stress_loses_nothing(self, tmp_path):
         root = tmp_path / "store"
         writers, rounds = 4, 24
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(Path(__file__).resolve().parents[1] / "src")
-            + os.pathsep
-            + env.get("PYTHONPATH", "")
-        )
+        env = _subprocess_env()
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", WRITER_SCRIPT, str(root), str(writer_id), str(rounds)],
@@ -242,6 +351,43 @@ class TestConcurrentWriters:
         # ...and compaction really ran while writers contended.
         assert compactions > 0
 
+    def test_threads_sharing_one_store_read_their_writes_and_count_compactions(
+        self, tmp_path
+    ):
+        def rewrite_loop(store, prefix, rounds=24):
+            for n in range(rounds):
+                assert store.append({prefix * 64: _entry(f"{prefix} {n}")}) == {}
+                assert store.load_all()[prefix * 64] == _entry(f"{prefix} {n}")
+
+        alone = ShardedStore(tmp_path / "alone", compact_min_records=4, compact_factor=1)
+        rewrite_loop(alone, "0")
+        shared = ShardedStore(tmp_path / "shared", compact_min_records=4, compact_factor=1)
+        prefixes = "01234567"  # one shard per thread, more threads than cores
+        errors = []
+
+        def worker(prefix):
+            try:
+                rewrite_loop(shared, prefix)
+            except BaseException as exc:
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(p,)) for p in prefixes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert alone.compactions > 0
+        assert shared.compactions == len(prefixes) * alone.compactions
+        assert shared.load_all() == ShardedStore(tmp_path / "shared").load_all()
+
     def test_kill_mid_append_leaves_store_loadable(self, tmp_path):
         root = tmp_path / "store"
         ShardedStore(root).append({_fp(1): _entry("survivor")})
@@ -250,12 +396,7 @@ class TestConcurrentWriters:
             tmp_path / "faults-state",
             [{"site": "shard-append", "kind": "kill", "occurrences": [1]}],
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(Path(__file__).resolve().parents[1] / "src")
-            + os.pathsep
-            + env.get("PYTHONPATH", "")
-        )
+        env = _subprocess_env()
         env[ENV_VAR] = str(spec)
         script = (
             "from repro.cache import ShardedStore\n"
