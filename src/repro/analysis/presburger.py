@@ -21,27 +21,39 @@ conjunction is definitely unsatisfiable over the rationals/integers
 must treat ``False`` conservatively — the prover degrades to
 ``bounded_only``, the dependence analyzer reports ``Unknown``, the
 legality checker refuses to certify.
+
+Verdicts are memoised in one process-wide table that every engine
+shares, so the prover's clause searches, dependence queries and
+legality queries of all kernels lifted in a process reuse each other's
+answers.  The key is exact (each row's atoms, coefficients by numeric
+type, constant and strictness, in the order given; which atoms are
+integer symbols; both caps), and the value is the verdict plus the
+number of ``charge`` ticks its search made.  A hit replays those ticks,
+so a budgeted caller runs out at exactly the tick where an engine that
+remembers nothing would.  ``clear_simplify_cache`` empties the table.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.symbolic.expr import Call, Expr, Sym, as_expr
-from repro.symbolic.simplify import _linearize, simplify
+from repro.symbolic.expr import Call, Expr, Sym, _key_part, as_expr
+from repro.symbolic.simplify import _DERIVED_TABLES, _linearize, simplify
 
 
 class LinearConstraint:
     """One linear constraint over opaque atoms (``>= 0``, ``> 0`` if strict)."""
 
-    __slots__ = ("terms", "const", "strict", "tight")
+    __slots__ = ("terms", "const", "strict", "tight", "memo_row")
 
     def __init__(self, terms: Dict[str, Tuple[Expr, Fraction]], const: Fraction, strict: bool):
         self.terms = terms
         self.const = const
         self.strict = strict
         self.tight = False
+        self.memo_row: Optional[Tuple[int, Tuple[str, ...]]] = None
 
     def key(self) -> Tuple:
         return (
@@ -63,11 +75,16 @@ def is_int_atom(atom: Expr, int_syms: Set[str]) -> bool:
 
 
 def tighten(lin: LinearConstraint, int_syms: Set[str]) -> LinearConstraint:
-    """Integer tightening: strict removal and gcd rounding when sound."""
+    """Integer tightening: strict removal and gcd rounding when sound.
+
+    ``lin.tight`` marks a row that tightens to itself under any
+    ``int_syms``, so a row not all-integer here is never marked: the
+    result then depends only on the row and which atoms are integers,
+    which is what the verdict memo keys on.
+    """
     if lin.tight:
         return lin
     if not all(is_int_atom(atom, int_syms) for atom, _c in lin.terms.values()):
-        lin.tight = True
         return lin
     coeffs = [c for _a, c in lin.terms.values()]
     if not coeffs:
@@ -110,6 +127,62 @@ def _no_charge() -> None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# The process-wide verdict memo
+# ---------------------------------------------------------------------------
+#
+# ``_VERDICTS`` maps a query key to ``(verdict, ticks)``.  A key is the
+# two caps, an integer mask, then one row id per row in the order given.
+# ``_ROW_IDS`` interns a row's exact content (its sorted ``(atom key, Sym
+# name or None, coefficient)`` triples, constant and strictness, numbers
+# keyed by ``_key_part`` so ``2``, ``Fraction(2)`` and ``2.0`` stay
+# apart) to an id that is never reused, so a key stays exact after
+# either table is cleared.  The row ids fix every Sym atom of the query
+# in order, and the mask has one bit per Sym atom, set when its name is
+# in the engine's ``int_syms``: the only thing the search reads of an
+# atom besides its key.  Both tables are cleared whole at
+# ``_VERDICTS_MAX`` entries and by ``clear_simplify_cache``.  Lift
+# threads share them through single dict operations only: a race can
+# drop an entry or compute one twice, and every entry stored is exact.
+
+_VERDICTS: Dict[Tuple, Tuple[bool, int]] = {}
+_ROW_IDS: Dict[Tuple, int] = {}
+_NEXT_ROW_ID = itertools.count()
+_VERDICTS_MAX = 1 << 12
+_DERIVED_TABLES.extend((_VERDICTS, _ROW_IDS))
+
+
+def _memo_row(lin: LinearConstraint) -> Tuple[int, Tuple[str, ...]]:
+    """Set and return ``lin.memo_row``: its row id and its Sym names in key order."""
+    atoms = []
+    for key in sorted(lin.terms):
+        atom, coeff = lin.terms[key]
+        atoms.append((key, atom.name if isinstance(atom, Sym) else None, _key_part(coeff)))
+    content = (tuple(atoms), _key_part(lin.const), lin.strict)
+    row_id = _ROW_IDS.get(content)
+    if row_id is None:
+        if len(_ROW_IDS) >= _VERDICTS_MAX:
+            _ROW_IDS.clear()
+        row_id = _ROW_IDS.setdefault(content, next(_NEXT_ROW_ID))
+    lin.memo_row = (row_id, tuple(name for _k, name, _c in atoms if name is not None))
+    return lin.memo_row
+
+
+def _query_key(
+    lins: Sequence[LinearConstraint], int_syms: Set[str], max_constraints: int, focus_last: bool
+) -> Tuple:
+    row_ids = []
+    mask = bit = 0
+    for lin in lins:
+        row_id, names = lin.memo_row or _memo_row(lin)
+        row_ids.append(row_id)
+        for name in names:
+            if name in int_syms:
+                mask |= 1 << bit
+            bit += 1
+    return (max_constraints, focus_last, mask, *row_ids)
+
+
 class FMEngine:
     """Feasibility/entailment of conjunctions of linear constraints.
 
@@ -137,8 +210,40 @@ class FMEngine:
         constraints along shared atoms, so the restriction loses no
         refutations while keeping the system small enough to stay under
         the elimination caps.
+
+        A query answered before, by any engine, replays the recorded
+        number of ``charge`` ticks and returns the recorded verdict.  A
+        search that raises out of ``charge`` records nothing.
         """
-        self._charge()
+        key = _query_key(lins, self.int_syms, max_constraints, focus_last)
+        charge = self._charge
+        known = _VERDICTS.get(key)
+        if known is not None:
+            verdict, ticks = known
+            for _ in range(ticks):
+                charge()
+            return verdict
+        ticks = 0
+
+        def counted() -> None:
+            nonlocal ticks
+            ticks += 1
+            charge()
+
+        verdict = self._search(lins, max_constraints, focus_last, counted)
+        if len(_VERDICTS) >= _VERDICTS_MAX:
+            _VERDICTS.clear()
+        _VERDICTS[key] = (verdict, ticks)
+        return verdict
+
+    def _search(
+        self,
+        lins: Sequence[LinearConstraint],
+        max_constraints: int,
+        focus_last: bool,
+        charge,
+    ) -> bool:
+        charge()
         work: List[LinearConstraint] = []
         seen = set()
         for lin in lins:
@@ -199,11 +304,11 @@ class FMEngine:
             rest = [lin for lin in work if atom not in lin.terms]
             if len(rest) + len(pos) * len(neg) > max_constraints:
                 return False  # give up: cannot prove infeasibility
-            self._charge()
+            charge()
             work = list(rest)
             seen = {lin.key() for lin in work}
             for p in pos:
-                self._charge()
+                charge()
                 a = p.terms[atom][1]
                 for n in neg:
                     b = n.terms[atom][1]  # b < 0

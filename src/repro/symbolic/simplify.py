@@ -15,7 +15,7 @@ STNG needs only a narrow slice of computer algebra:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.symbolic.expr import (
     Add,
@@ -92,10 +92,19 @@ def substitute(expr: Expr, bindings: Mapping[str, "Expr | int | float"]) -> Expr
 _SIMPLIFY_CACHE: Dict[int, Tuple[Expr, Expr]] = {}
 _SIMPLIFY_CACHE_MAX = 1 << 17
 
+# Memo tables of other modules whose keys are built from these canonical
+# forms (the Fourier–Motzkin verdict memo of
+# ``repro.analysis.presburger`` appends its tables on import), so one
+# call forgets everything a lift warmed without this package importing
+# theirs.
+_DERIVED_TABLES: List[dict] = []
+
 
 def clear_simplify_cache() -> None:
-    """Drop memoised canonical forms (tests / cache hygiene)."""
+    """Drop memoised canonical forms and the tables derived from them."""
     _SIMPLIFY_CACHE.clear()
+    for table in _DERIVED_TABLES:
+        table.clear()
 
 
 def simplify(expr: Expr) -> Expr:

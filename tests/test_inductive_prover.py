@@ -10,11 +10,16 @@ back without losing translations).
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import presburger
+from repro.analysis.presburger import LinearConstraint
 from repro.frontend import identify_candidates, parse_source
 from repro.frontend.lowering import lower_candidate
 from repro.predicates.language import (
@@ -25,7 +30,7 @@ from repro.predicates.language import (
 )
 from repro.suites.base import pair_1d_2d, stencil_fortran
 from repro.symbolic.expr import as_expr, cell, sym
-from repro.symbolic.simplify import simplify
+from repro.symbolic.simplify import clear_simplify_cache, simplify
 from repro.synthesis.cegis import synthesize_kernel
 from repro.vcgen.hoare import CandidateSummary, generate_vc
 from repro.verification.bounded import BoundedVerifier
@@ -130,6 +135,160 @@ class TestLinearEngine:
         ]
         assert fm.infeasible(gamma)
         assert fm.infeasible(gamma, focus_last=True)
+
+
+class _Spent(Exception):
+    pass
+
+
+class _Allowance:
+    """A ``charge`` that counts its ticks and raises on the ``limit``-th."""
+
+    def __init__(self, limit=None):
+        self.limit = limit
+        self.ticks = 0
+
+    def __call__(self):
+        self.ticks += 1
+        if self.ticks == self.limit:
+            raise _Spent
+
+
+class TestVerdictMemo:
+    """The process-wide FM verdict memo answers like an engine without one."""
+
+    @pytest.fixture(autouse=True)
+    def memo(self):
+        clear_simplify_cache()
+        yield presburger._VERDICTS
+        clear_simplify_cache()
+
+    def _tightening(self):
+        # 0 < x < 1: refuted only when x is an integer symbol.
+        x = sym("x")
+        return [_linearize_ge0(x, True), _linearize_ge0(simplify(as_expr(1) - x), True)]
+
+    def _alignment(self):
+        kt, klo, khi, m = sym("kt"), sym("klo"), sym("khi"), sym("it_kt")
+        exprs = [khi - klo - 2, m, kt - klo - 1 - as_expr(4) * m, as_expr(4) * m + klo - kt + 1,
+                 klo + 4 - kt]
+        return [_linearize_ge0(simplify(e), False) for e in exprs] + [
+            _linearize_ge0(simplify(kt - khi + 1), True)
+        ]
+
+    def test_entries_are_not_shared_across_what_the_search_can_tell_apart(self, memo):
+        x, y = sym("x"), sym("y")
+
+        def rows(coeff):
+            # coeff * x - y - 1 >= 0 and y - x >= 0, built without simplify.
+            return [
+                LinearConstraint({"x": (x, coeff), "y": (y, Fraction(-1))}, Fraction(-1), False),
+                LinearConstraint({"x": (x, Fraction(-1)), "y": (y, Fraction(1))}, Fraction(0), False),
+            ]
+
+        variants = [
+            (set(), rows(Fraction(2)), {}),
+            (set(), rows(2.0), {}),
+            ({"x"}, rows(Fraction(2)), {}),
+            (set(), rows(Fraction(2))[::-1], {}),
+            (set(), rows(Fraction(2)), {"focus_last": True}),
+            (set(), rows(Fraction(2)), {"max_constraints": 8}),
+        ]
+        for count, (ints, lins, caps) in enumerate(variants, 1):
+            _FMEngine(ints, _Allowance()).infeasible(lins, **caps)
+            assert len(memo) == count
+        for ints, lins, caps in variants:
+            _FMEngine(ints, _Allowance()).infeasible(lins, **caps)
+        assert len(memo) == len(variants)
+
+    def test_strict_integer_tightening_in_either_order_with_a_warm_memo(self):
+        # The same row objects serve both integer sets, as the prover's
+        # ``_lin_cache`` serves rows to an engine whose ``int_syms`` grows.
+        for order in (({"x"}, set()), (set(), {"x"})):
+            clear_simplify_cache()
+            lins = self._tightening()
+            for _ in range(2):
+                for ints in order:
+                    assert _FMEngine(ints, _Allowance()).infeasible(lins) is bool(ints)
+
+    def test_an_exhausted_search_records_nothing_and_a_hit_runs_out_where_it_did(self, memo):
+        ints = {"kt", "klo", "khi", "it_kt"}
+        full = _Allowance()
+        assert _FMEngine(ints, full).infeasible(self._alignment())
+        assert full.ticks > 2
+        for limit in range(1, full.ticks + 1):
+            clear_simplify_cache()
+            miss = _Allowance(limit)
+            with pytest.raises(_Spent):
+                _FMEngine(ints, miss).infeasible(self._alignment())
+            assert not memo
+            _FMEngine(ints, _Allowance()).infeasible(self._alignment())
+            hit = _Allowance(limit)
+            with pytest.raises(_Spent):
+                _FMEngine(ints, hit).infeasible(self._alignment())
+            assert miss.ticks == hit.ticks == limit
+        hit = _Allowance()
+        assert _FMEngine(ints, hit).infeasible(self._alignment())
+        assert hit.ticks == full.ticks and len(memo) == 1
+
+    def test_clear_simplify_cache_empties_the_memo(self, memo):
+        _FMEngine({"x"}, _Allowance()).infeasible(self._tightening())
+        assert memo and presburger._ROW_IDS
+        clear_simplify_cache()
+        assert not memo and not presburger._ROW_IDS
+
+    def test_threads_sharing_the_memo_get_the_answers_of_a_fresh_search(self, monkeypatch):
+        ints = {"kt", "klo", "khi", "it_kt"}
+        queries = [
+            (ints, self._alignment, {}),
+            (ints, self._alignment, {"focus_last": True}),
+            (set(), self._alignment, {}),
+            ({"x"}, self._tightening, {}),
+            (set(), self._tightening, {}),
+        ]
+        expected = []
+        for query_ints, rows, caps in queries:
+            clear_simplify_cache()
+            charge = _Allowance()
+            expected.append((_FMEngine(query_ints, charge).infeasible(rows(), **caps), charge.ticks))
+        clear_simplify_cache()
+        # A cap below the number of distinct queries clears the table often.
+        monkeypatch.setattr(presburger, "_VERDICTS_MAX", 2)
+        wrong = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(150):
+                index = rng.randrange(len(queries))
+                query_ints, rows, caps = queries[index]
+                charge = _Allowance()
+                verdict = _FMEngine(query_ints, charge).infeasible(rows(), **caps)
+                if (verdict, charge.ticks) != expected[index]:
+                    wrong.append((index, verdict, charge.ticks))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_the_cap_clears_the_whole_table(self, memo, monkeypatch):
+        monkeypatch.setattr(presburger, "_VERDICTS_MAX", 3)
+        queries = [({"x"}, {}), (set(), {}), ({"x"}, {"focus_last": True})]
+        for ints, caps in queries:
+            _FMEngine(ints, _Allowance()).infeasible(self._tightening(), **caps)
+        assert len(memo) == 3
+        _FMEngine(set(), _Allowance()).infeasible(self._tightening(), focus_last=True)
+        assert len(memo) == 1
+        _FMEngine({"x"}, _Allowance()).infeasible(self._tightening())
+        assert len(memo) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Work the proof tier shares across one kernel's candidates is exact.
+"""Work the proof tier shares across candidates and kernels is exact.
 
 One ``BoundedVerifier`` and one ``InductiveProver`` serve every CEGIS
 candidate of a kernel, and memoise premise states, passing clause checks
-and clause proofs across calls.  The oracle throughout is a fresh
-verifier and prover per call, which start from nothing: every shared
-result must equal the fresh one exactly, counters and counterexamples
-included.
+and clause proofs across calls.  The Fourier–Motzkin engine under the
+prover memoises its verdicts across every kernel of a process.  The
+oracle throughout is a fresh verifier, prover or engine per call, which
+start from nothing: every shared result must equal the fresh one
+exactly, counters, counterexamples and budget ticks included.
 """
 
 from __future__ import annotations
@@ -14,15 +15,26 @@ import dataclasses
 
 import pytest
 
-from repro.pipeline import PipelineOptions
+from repro.analysis import presburger
+from repro.analysis.presburger import FMEngine, LinearConstraint
+from repro.compile import clear_compile_caches
+from repro.pipeline import PipelineOptions, report_signature
 from repro.pipeline.stng import STNGPipeline
 from repro.predicates.language import Postcondition
 from repro.suites import all_cases
-from repro.symbolic.expr import as_expr
+from repro.symbolic.expr import as_expr, clear_intern_table
+from repro.symbolic.simplify import clear_simplify_cache
 from repro.vcgen.hoare import CandidateSummary
 from repro.verification import inductive
 from repro.verification.bounded import BoundedVerifier
 from repro.verification.inductive import REASON_BUDGET, InductiveProver
+
+
+def _lift(name: str):
+    case = next(c for c in all_cases() if c.name == name)
+    pipeline = STNGPipeline(PipelineOptions(autotune_budget=20, verifier_environments=1))
+    (report,) = pipeline.lift_source(case.source, suite=case.suite, points=case.points)
+    return report
 
 
 def _record_lift(name: str):
@@ -32,7 +44,6 @@ def _record_lift(name: str):
     order, ``(method, candidate, args, kwargs)`` for every ``verify``,
     ``proves_postcondition`` and top-level ``prove`` call.
     """
-    case = next(c for c in all_cases() if c.name == name)
     calls = []
     verifiers = []
     in_filter = []
@@ -62,8 +73,7 @@ def _record_lift(name: str):
         patch.setattr(BoundedVerifier, "verify", recording_verify)
         patch.setattr(InductiveProver, "proves_postcondition", recording_filter)
         patch.setattr(InductiveProver, "prove", recording_prove)
-        pipeline = STNGPipeline(PipelineOptions(autotune_budget=20, verifier_environments=1))
-        (report,) = pipeline.lift_source(case.source, suite=case.suite, points=case.points)
+        report = _lift(name)
     assert report.verification_level == "proved"
     assert verifiers and all(v is verifiers[0] for v in verifiers)
     return verifiers[0], calls
@@ -219,3 +229,119 @@ def test_mutating_a_counterexample_does_not_change_a_later_verify(recorded):
     for array in first.counterexample.arrays.values():
         array.store((0, 0, 0), as_expr(7))
     assert _verification(shared.verify(wrong)) == expected
+
+
+# ---------------------------------------------------------------------------
+# The Fourier–Motzkin verdict memo, shared across kernels
+# ---------------------------------------------------------------------------
+
+
+class _Spent(Exception):
+    pass
+
+
+class _Allowance:
+    """A ``charge`` that counts its ticks and raises on the ``limit``-th."""
+
+    def __init__(self, limit=None):
+        self.limit = limit
+        self.ticks = 0
+
+    def __call__(self):
+        self.ticks += 1
+        if self.ticks == self.limit:
+            raise _Spent
+
+
+@pytest.fixture(scope="module")
+def fm_recorded():
+    """Every FM query of a ``grad0`` then ``heat0`` lift in one process.
+
+    The memo is emptied once, before ``grad0``, so ``heat0`` meets the
+    verdicts ``grad0`` left.  Each record is ``(kernel, rows, int_syms,
+    max_constraints, focus_last, verdict, ticks, hit)``, rows as
+    ``(terms, const, strict)`` copies; ``verdict`` is ``None`` when the
+    prover's budget ran out inside the call.
+    """
+    records = []
+    infeasible = FMEngine.infeasible
+    kernel = []
+
+    def recording(self, lins, max_constraints=256, focus_last=False):
+        rows = [(dict(lin.terms), lin.const, lin.strict) for lin in lins]
+        ints = frozenset(self.int_syms)
+        key = presburger._query_key(lins, self.int_syms, max_constraints, focus_last)
+        hit = key in presburger._VERDICTS
+        charge, counted = self._charge, _Allowance()
+
+        def ticking():
+            counted()
+            charge()
+
+        self._charge = ticking
+        verdict = None
+        try:
+            verdict = infeasible(self, lins, max_constraints, focus_last)
+            return verdict
+        finally:
+            self._charge = charge
+            records.append(
+                (kernel[-1], rows, ints, max_constraints, focus_last, verdict, counted.ticks, hit)
+            )
+
+    clear_simplify_cache()
+    signatures = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FMEngine, "infeasible", recording)
+        for name in ("grad0", "heat0"):
+            kernel.append(name)
+            signatures[name] = report_signature(_lift(name))
+    return records, signatures
+
+
+def _fresh_rows(rows):
+    return [LinearConstraint(dict(terms), const, strict) for terms, const, strict in rows]
+
+
+def test_every_fm_verdict_of_two_lifts_equals_a_search_from_nothing(fm_recorded):
+    records, _signatures = fm_recorded
+    assert any(hit for name, *_r, hit in records if name == "heat0")
+    for _name, rows, ints, cap, focus, verdict, ticks, _hit in records:
+        clear_simplify_cache()
+        charge = _Allowance(None if verdict is not None else ticks)
+        engine = FMEngine(set(ints), charge)
+        if verdict is None:
+            with pytest.raises(_Spent):
+                engine.infeasible(_fresh_rows(rows), cap, focus)
+        else:
+            assert engine.infeasible(_fresh_rows(rows), cap, focus) is verdict
+        assert charge.ticks == ticks
+
+
+def test_a_budget_runs_out_at_the_same_tick_on_a_miss_and_on_a_hit(fm_recorded):
+    records, _signatures = fm_recorded
+    longest = sorted(
+        (r for r in records if r[5] is not None), key=lambda r: r[6], reverse=True
+    )[:20]
+    assert longest[0][6] > 2
+    for _name, rows, ints, cap, focus, verdict, ticks, _hit in longest:
+        limit = ticks // 2 + 1
+        clear_simplify_cache()
+        miss = _Allowance(limit)
+        with pytest.raises(_Spent):
+            FMEngine(set(ints), miss).infeasible(_fresh_rows(rows), cap, focus)
+        assert not presburger._VERDICTS
+        filled = _Allowance()
+        assert FMEngine(set(ints), filled).infeasible(_fresh_rows(rows), cap, focus) is verdict
+        hit = _Allowance(limit)
+        with pytest.raises(_Spent):
+            FMEngine(set(ints), hit).infeasible(_fresh_rows(rows), cap, focus)
+        assert miss.ticks == hit.ticks == limit and filled.ticks == ticks
+
+
+def test_a_warm_fm_memo_leaves_a_lift_unchanged(fm_recorded):
+    _records, signatures = fm_recorded
+    clear_simplify_cache()
+    clear_compile_caches()
+    clear_intern_table()
+    assert report_signature(_lift("heat0")) == signatures["heat0"]
